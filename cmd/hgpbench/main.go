@@ -45,7 +45,7 @@ func main() {
 	prune := flag.Bool("prune", false, "incumbent portfolio pruning in pipeline solves; tables are identical either way, only solve-time columns move")
 	jsonOut := flag.String("json", "", "also write results as machine-readable JSON to this file")
 	budget := flag.Duration("budget", 0, "per-solve wall-clock budget for the E22 anytime ladder (0 = the default sweep)")
-	tier := flag.String("tier", "", "restrict the E22 ladder to one rung: full_dp, capped_dp, or baseline (empty = whole ladder)")
+	tier := flag.String("tier", "", "restrict the E22 ladder to one rung: full_dp or baseline (empty = whole ladder)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()

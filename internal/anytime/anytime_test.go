@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hierpart/internal/baseline"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/gen"
 	"hierpart/internal/graph"
@@ -130,20 +131,42 @@ func TestOnlyRestrictsLadder(t *testing.T) {
 	}
 }
 
-func TestCappedTierDefaults(t *testing.T) {
-	o := Options{Solver: hgp.Solver{Trees: 8, MaxStates: 1 << 24}}
-	if got := o.cappedTrees(); got != 2 {
-		t.Fatalf("cappedTrees = %d, want 2", got)
+// The full tier finishing first must not cut the baseline rung short:
+// its polish yields only to the caller's deadline, so the baseline's
+// reported cost is the polished one however fast the DP returns.
+func TestBaselinePolishSurvivesFastFullTier(t *testing.T) {
+	g, H := testInstance(6, 32)
+	const seed = 1
+	polished, err := solveBaseline(context.Background(), g, H, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := o.cappedMaxStates(); got != 1<<21 {
-		t.Fatalf("cappedMaxStates = %d, want %d", got, 1<<21)
+	raw := baseline.DualRecursive(rand.New(rand.NewSource(seed)), g, H)
+	if metrics.CostLCA(g, H, raw) == polished.Cost {
+		t.Fatal("the polish does not move this instance; the test would be vacuous")
 	}
-	o = Options{Solver: hgp.Solver{Trees: 1}}
-	if got := o.cappedTrees(); got != 1 {
-		t.Fatalf("cappedTrees = %d, want 1", got)
+	full, err := hgp.Solver{Trees: 2, Seed: seed, Workers: 1}.Solve(g, H)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := o.cappedMaxStates(); got != 1<<20 {
-		t.Fatalf("cappedMaxStates (unlimited full) = %d, want %d", got, 1<<20)
+	opts := Options{
+		Solver: hgp.Solver{Trees: 2, Seed: seed, Workers: 1},
+		SolveDP: func(context.Context, *graph.Graph, *hierarchy.Hierarchy, hgp.Solver) (*hgp.Result, error) {
+			return full, nil
+		},
+	}
+	for i := 0; i < 20; i++ {
+		out, err := Solve(context.Background(), g, H, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := out.Reports[TierBaseline]
+		if rep.State != StateWon && rep.State != StateCompleted {
+			t.Fatalf("run %d: baseline state = %s, want won or completed", i, rep.State)
+		}
+		if rep.Cost != polished.Cost {
+			t.Fatalf("run %d: baseline cost %v, want the polished %v", i, rep.Cost, polished.Cost)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"time"
 
 	"hierpart/internal/anytime"
@@ -13,11 +14,9 @@ import (
 
 // E22AnytimeLadder measures the degradation ladder: the same instance
 // solved under shrinking wall-clock budgets, recording which tier wins,
-// its cost relative to the unconstrained full pipeline, and how fast
-// the answer came back. The expectation is a graceful quality/latency
-// trade: the full pipeline under no budget, capped or partial results
-// in the middle, and the heuristic floor — at a bounded cost penalty —
-// when the budget is far below the DP's needs.
+// its cost relative to the unconstrained full pipeline, how fast the
+// answer came back, and how each rung ended. The contract is an answer
+// inside the (1+eps) guarantee at every budget, never an error.
 //
 // Config.Budget, when non-zero, replaces the default budget sweep with
 // that single deadline (the hgpbench -budget flag); Config.Tier
@@ -27,8 +26,8 @@ func E22AnytimeLadder(cfg Config) *Table {
 		ID:    "E22",
 		Title: "Anytime degradation ladder under shrinking budgets",
 		Columns: []string{"budget", "tier", "degraded", "partial",
-			"trees done", "cost", "vs full", "viol", "elapsed_ms"},
-		Notes: "expected: full_dp at generous budgets (ratio 1, viol ≤ 1+eps), capped/partial in between, baseline floor at starvation budgets with a modest cost penalty — and never an error",
+			"trees done", "cost", "vs full", "viol", "elapsed_ms", "rungs"},
+		Notes: "expected: never an error, viol ≤ 1+eps. On this instance the polished baseline beats even the completed full tier (full_dp=completed, vs full < 1 with no budget); tighter budgets leave the DP failed or partial, and a deadline that expires before the baseline's polish costs it that pass (vs full > 1)",
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 22))
 	h := hierarchy.NUMASockets(4, 4)
@@ -71,7 +70,7 @@ func E22AnytimeLadder(cfg Config) *Table {
 		out, err := anytime.Solve(ctx, g, h, opts)
 		elapsed := time.Since(start)
 		if err != nil {
-			t.AddRow(label, "error: "+err.Error(), "", "", "", "", "", "", float64(elapsed.Microseconds())/1000)
+			t.AddRow(label, "error: "+err.Error(), "", "", "", "", "", "", float64(elapsed.Microseconds())/1000, "")
 			continue
 		}
 		viol := 0.0
@@ -80,9 +79,13 @@ func E22AnytimeLadder(cfg Config) *Table {
 				viol = v
 			}
 		}
+		rungs := make([]string, len(out.Reports))
+		for i, rep := range out.Reports {
+			rungs[i] = rep.Name + "=" + string(rep.State)
+		}
 		t.AddRow(label, out.Tier.String(), out.Degraded, out.Result.Partial,
 			out.Result.TreesDone, out.Result.Cost, out.Result.Cost/full.Cost,
-			viol, float64(elapsed.Microseconds())/1000)
+			viol, float64(elapsed.Microseconds())/1000, strings.Join(rungs, " "))
 	}
 	return t
 }

@@ -331,7 +331,7 @@ func TestE22LadderNeverErrors(t *testing.T) {
 		// Every budget row must carry a real tier — the ladder's contract
 		// is an answer at any budget, never an error row.
 		switch r[1] {
-		case "full_dp", "capped_dp", "baseline":
+		case "full_dp", "baseline":
 		default:
 			t.Fatalf("E22 budget %s: tier %q", r[0], r[1])
 		}

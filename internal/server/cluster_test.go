@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,9 +16,11 @@ import (
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
+	"hierpart/internal/canon"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
+	"hierpart/internal/metrics"
 	"hierpart/internal/telemetry"
 	"hierpart/internal/treedecomp"
 )
@@ -138,6 +141,21 @@ func resultKeyFor(t *testing.T, req PartitionRequest) string {
 	}
 	sv := solverFor(req, Config{}.withDefaults())
 	return cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
+}
+
+// canonResultKeyFor is resultKeyFor for a daemon running with -canon.
+func canonResultKeyFor(t *testing.T, req PartitionRequest) string {
+	t.Helper()
+	g, H, err := req.Instance.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := canon.Canonicalize(g)
+	if !ok {
+		t.Fatal("test instance refused canonicalization")
+	}
+	sv := solverFor(req, Config{}.withDefaults())
+	return cache.ResultKeyCanon(f.Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 }
 
 func nodeIndex(nodes []*testNode, url string) int {
@@ -809,6 +827,80 @@ func TestClusterRejectsPartialResultPush(t *testing.T) {
 	}
 	if _, ok := owner.srv.results.Peek(key); !ok {
 		t.Fatal("valid complete push must populate the result cache")
+	}
+}
+
+// A result PUT through the peer surface is only structurally decoded,
+// so the entry under a key can be the wrong shape for the request that
+// key names. A short assignment must be served as a miss — never a 500
+// from the canon translation, never a wrong-length 200 — both where the
+// peer fetch brings it in and where the local result cache holds it.
+func TestClusterShortResultIsServedAsMiss(t *testing.T) {
+	for _, canonOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("canon=%v", canonOn), func(t *testing.T) {
+			nodes := startTestCluster(t, 2, func(i int, cfg *Config) {
+				cfg.ResultCacheEntries = 64
+				cfg.Canon = canonOn
+			})
+			keyFn := resultKeyFor
+			if canonOn {
+				keyFn = canonResultKeyFor
+			}
+			req := reqOwnedBy(t, nodes, 0, keyFn)
+			key := keyFn(t, req)
+			owner, other := nodes[0], nodes[1]
+			g, H, err := req.Instance.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			putShort := func() {
+				t.Helper()
+				short := &hgp.Result{Assignment: []int{0, 1}, Cost: 1, TreeCost: 1, PerTreeCosts: []float64{1}}
+				body := diskstore.WrapWire(diskstore.EncodeResult(short))
+				preq, _ := http.NewRequest(http.MethodPut, owner.url+"/v1/peer/result/"+key, bytes.NewReader(body))
+				resp, err := http.DefaultClient.Do(preq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNoContent {
+					t.Fatalf("short push: status %d, want 204 (the PUT checks structure only)", resp.StatusCode)
+				}
+			}
+			check := func(nd *testNode, source string) PartitionResponse {
+				t.Helper()
+				rec := postPartition(t, nd.srv.Handler(), req)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("status = %d (%s), want 200 from a local solve", rec.Code, rec.Body.String())
+				}
+				resp := decodeResponse(t, rec)
+				if resp.ResultCacheHit {
+					t.Fatalf("short result served as a hit: %+v", resp)
+				}
+				a := metrics.Assignment(resp.Assignment)
+				if err := a.Validate(g, H); err != nil {
+					t.Fatalf("invalid answer: %v", err)
+				}
+				if c := metrics.CostLCA(g, H, a); c != resp.Cost {
+					t.Fatalf("answer cost %v, its assignment costs %v", resp.Cost, c)
+				}
+				if got := labeled(nd.reg, "certify_failures_total", "source", source); got != 1 {
+					t.Fatalf("certify_failures_total{source=%s} = %d, want 1", source, got)
+				}
+				return resp
+			}
+
+			putShort()
+			fetched := check(other, "peer_fetch")
+			// The fetching node's solve pushes its full result to the
+			// owner; put the short one back before the owner's own hit.
+			waitPushesSettled(t, other)
+			putShort()
+			local := check(owner, "result_hit")
+			if !reflect.DeepEqual(comparable(fetched), comparable(local)) {
+				t.Fatalf("the two paths disagree:\n%+v\n%+v", fetched, local)
+			}
+		})
 	}
 }
 

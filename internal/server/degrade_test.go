@@ -43,8 +43,8 @@ func TestPartitionLadderFullWins(t *testing.T) {
 	if resp.Degradation.Tier != "full_dp" || resp.Degradation.Degraded {
 		t.Fatalf("degradation = %+v, want undegraded full_dp", resp.Degradation)
 	}
-	if len(resp.Degradation.Tiers) != 3 {
-		t.Fatalf("tier reports = %+v, want 3 entries", resp.Degradation.Tiers)
+	if len(resp.Degradation.Tiers) != 2 {
+		t.Fatalf("tier reports = %+v, want 2 entries", resp.Degradation.Tiers)
 	}
 	if got := reg.Counter(`degraded_total{tier="full_dp"}`).Value(); got != 0 {
 		t.Fatalf("degraded counter = %d for an undegraded response", got)

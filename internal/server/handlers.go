@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"hierpart/internal/anytime"
@@ -111,7 +110,7 @@ type PartitionResponse struct {
 // the full pipeline, and the per-tier post-mortems.
 type DegradationResponse struct {
 	// Tier names the rung that produced the returned placement:
-	// "full_dp", "capped_dp", or "baseline".
+	// "full_dp" or "baseline".
 	Tier string `json:"tier"`
 	// Degraded is true when the caller got anything less than the full
 	// pipeline's complete answer.
@@ -216,7 +215,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		} else {
 			rkey = cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 		}
-		if v, ok := s.results.Get(rkey); ok {
+		if v, ok := s.results.Get(rkey); ok && s.fitsRequest(v.(*hgp.Result), gSolve, H, "result_hit") {
 			s.reg.Counter("result_cache_hits_total").Inc()
 			s.writePartitionOK(w, start, v.(*hgp.Result), false, true, false, 0, 0, nil, cn)
 			return
@@ -235,7 +234,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		if s.cluster != nil {
 			v, shared, ferr := s.rflight.Do(r.Context(), rkey+"|peerfetch", func() (any, error) {
 				res, ok := s.cluster.fetchResult(r.Context(), rkey)
-				if !ok {
+				if !ok || !s.fitsRequest(res, gSolve, H, "peer_fetch") {
 					return (*hgp.Result)(nil), nil
 				}
 				s.results.Add(rkey, res)
@@ -354,26 +353,17 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				ladderOpts.Only = &floor
 				s.reg.Counter("breaker_floor_served_total").Inc()
 			}
-			// The ladder path: full pipeline, capped DP, and the heuristic
-			// baseline race under the request's deadline; the best feasible
-			// placement available wins. The DP tiers run through s.solve so
-			// they share the decomposition cache and singleflight group;
-			// TierFromContext attributes each backend call's cache outcome
-			// and phase timings to its tier, so the response reports the
-			// winning tier's numbers.
-			type tierPhases struct {
-				hit          bool
-				decomp, slve time.Duration
-			}
-			var phaseMu sync.Mutex
-			phases := map[anytime.Tier]tierPhases{}
+			// The ladder path: the full pipeline and the heuristic baseline
+			// run under the request's deadline; the best feasible placement
+			// wins. The full tier runs through s.solve so it shares the
+			// decomposition cache and singleflight group. Its cache outcome
+			// and phase timings are the response's when it wins; a baseline
+			// win has neither phase. anytime.Solve collects every rung
+			// before returning, so reading them after it needs no lock.
+			var dp solveOutcome
 			ladderOpts.SolveDP = func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
 				r, hit, d, sd, serr := s.solve(ctx, g, H, sv, cn)
-				if tier, ok := anytime.TierFromContext(ctx); ok && serr == nil {
-					phaseMu.Lock()
-					phases[tier] = tierPhases{hit: hit, decomp: d, slve: sd}
-					phaseMu.Unlock()
-				}
+				dp.cacheHit, dp.decompDur, dp.solveDur = hit, d, sd
 				return r, serr
 			}
 			out, serr := anytime.Solve(ctx, gSolve, H, ladderOpts)
@@ -381,10 +371,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				return nil, serr
 			}
 			oc.res = out.Result
-			phaseMu.Lock()
-			ph := phases[out.Tier]
-			phaseMu.Unlock()
-			oc.cacheHit, oc.decompDur, oc.solveDur = ph.hit, ph.decomp, ph.slve
+			if out.Tier == anytime.TierFullDP {
+				oc.cacheHit, oc.decompDur, oc.solveDur = dp.cacheHit, dp.decompDur, dp.solveDur
+			}
 			oc.degResp = &DegradationResponse{
 				Tier:      out.Tier.String(),
 				Degraded:  out.Degraded,
@@ -466,6 +455,25 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writePartitionOK(w, start, oc.res, oc.cacheHit, false, pfm.hit.Load(), oc.decompDur, oc.solveDur, oc.degResp, cn)
+}
+
+// fitsRequest checks a cached or fetched result against the request
+// before it is served: one leaf per vertex, each a leaf of H. The result
+// caches and the peer PUT only decode a result's structure, so an entry
+// stored under this key can still be the wrong shape for the instance —
+// a short assignment would panic the canon translation or go out as a
+// wrong-length answer. A mismatch is counted under
+// certify_failures_total{source} and served as a miss.
+func (s *Server) fitsRequest(res *hgp.Result, g *graph.Graph, H *hierarchy.Hierarchy, source string) bool {
+	a, k := res.Assignment, H.Leaves()
+	ok := len(a) == g.N()
+	for i := 0; ok && i < len(a); i++ {
+		ok = a[i] >= 0 && a[i] < k
+	}
+	if !ok {
+		s.reg.Counter(telemetry.Series("certify_failures_total", "source", source)).Inc()
+	}
+	return ok
 }
 
 // solveOutcome bundles one completed solve so identical concurrent

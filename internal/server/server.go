@@ -373,6 +373,10 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter("canon_ok_total")
 	s.reg.Counter("canon_fallback_total")
 	s.reg.Counter("canon_hits_total")
+	// The result-hit checks (fitsRequest), one series per ingest source.
+	for _, src := range []string{"result_hit", "peer_fetch"} {
+		s.reg.Counter(telemetry.Series("certify_failures_total", "source", src))
+	}
 	if len(cfg.Peers) > 0 {
 		if s.dec == nil {
 			return nil, fmt.Errorf("server: cluster mode requires caching (CacheEntries > 0)")
