@@ -62,6 +62,12 @@ func TestClusterFailoverSoak(t *testing.T) {
 		return startDaemonArgs(t, hgpd,
 			"-addr", addrs[i],
 			"-state-dir", stateDirs[i],
+			// Room for every key the soak creates: the failover phase
+			// sends mostly fresh keys, and node 0 meets a few hundred
+			// before the kill. At the default 128 entries they evict the
+			// primed seed-1 entry the rejoin check asks for, and the
+			// check would measure the host's speed instead of warmth.
+			"-cache", "100000",
 			"-snapshot-interval", "50ms",
 			"-concurrency", "2",
 			"-queue", "16",

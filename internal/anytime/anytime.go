@@ -103,6 +103,10 @@ type TierReport struct {
 	Cost      float64   `json:"cost,omitempty"`
 	ElapsedMS float64   `json:"elapsed_ms,omitempty"`
 	Error     string    `json:"error,omitempty"`
+	// Cached marks a full_dp rung that Options.SolveDP answered from a
+	// result cache instead of running the DP. The ladder never sets it;
+	// the caller that served the rung does.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // Outcome is what the ladder returns: the best feasible partition found
@@ -118,6 +122,13 @@ type Outcome struct {
 	// full pipeline's complete answer (a lower tier won, or the full
 	// tier surrendered a partial incumbent).
 	Degraded bool
+	// Settled reports that the selection was made between both rungs'
+	// undisturbed answers: the full tier finished complete (not
+	// partial) and the baseline rung ran with its polish pass intact
+	// (the deadline did not skip it). Only then is Tier a property of
+	// the instance rather than of the clock, so only then may a caller
+	// remember which rung won.
+	Settled bool
 	// Reports holds one entry per tier, indexed by Tier.
 	Reports [numTiers]TierReport
 }
@@ -177,8 +188,13 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 	launch(TierFullDP, func(ctx context.Context) (*hgp.Result, error) {
 		return solveDP(ctx, g, H, fullSv)
 	})
+	// Written by the baseline goroutine before its attempt is sent and
+	// read only after every attempt is received.
+	polishSkipped := false
 	launch(TierBaseline, func(ctx context.Context) (*hgp.Result, error) {
-		return solveBaseline(ctx, g, H, opts.Solver.Seed)
+		res, skipped, err := solveBaseline(ctx, g, H, opts.Solver.Seed)
+		polishSkipped = skipped
+		return res, err
 	})
 	if launched == 0 {
 		return nil, errors.New("anytime: no tier enabled")
@@ -199,8 +215,10 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 	// polled at every cluster split and DP table, and the baseline rung
 	// finishes in milliseconds.
 	var best *attempt
+	var complete [numTiers]bool
 	for i := 0; i < launched; i++ {
 		a := <-ch
+		complete[a.tier] = a.err == nil && !a.res.Partial
 		rep := &out.Reports[a.tier]
 		rep.ElapsedMS = float64(a.elapsed.Microseconds()) / 1000
 		switch {
@@ -241,6 +259,7 @@ func Solve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, opts Opt
 	out.Tier = best.tier
 	out.Reports[best.tier].State = StateWon
 	out.Degraded = best.tier != TierFullDP || best.res.Partial
+	out.Settled = complete[TierFullDP] && complete[TierBaseline] && !polishSkipped
 	return out, nil
 }
 
@@ -316,24 +335,24 @@ func runContained(ctx context.Context, run func(context.Context) (*hgp.Result, e
 // promised at all, and it finishes in milliseconds on anything the
 // serving path admits. Only the optional polish pass yields, and only
 // to the caller's deadline: the full tier finishing first never skips
-// it.
-func solveBaseline(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, seed int64) (*hgp.Result, error) {
+// it. skipped reports that the deadline did.
+func solveBaseline(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, seed int64) (res *hgp.Result, skipped bool, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	assign := baseline.DualRecursive(rng, g, H)
 	// The swap pass of RefineLocal is quadratic; keep the polish to
 	// instances where it stays in the low milliseconds.
 	if g.N() <= 2048 {
-		if err := ctx.Err(); err == nil {
+		if skipped = ctx.Err() != nil; !skipped {
 			assign = baseline.RefineLocal(g, H, assign, 1.0, 1)
 		}
 	}
 	if err := assign.Validate(g, H); err != nil {
-		return nil, fmt.Errorf("anytime: baseline produced invalid placement: %w", err)
+		return nil, skipped, fmt.Errorf("anytime: baseline produced invalid placement: %w", err)
 	}
 	return &hgp.Result{
 		Assignment: assign,
 		Cost:       metrics.CostLCA(g, H, assign),
 		TreeIndex:  -1,
 		Violation:  metrics.Violation(g, H, assign),
-	}, nil
+	}, skipped, nil
 }

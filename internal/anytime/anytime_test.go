@@ -137,7 +137,7 @@ func TestOnlyRestrictsLadder(t *testing.T) {
 func TestBaselinePolishSurvivesFastFullTier(t *testing.T) {
 	g, H := testInstance(6, 32)
 	const seed = 1
-	polished, err := solveBaseline(context.Background(), g, H, seed)
+	polished, _, err := solveBaseline(context.Background(), g, H, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +229,49 @@ func TestBetterPrefersFeasibleOverCheaper(t *testing.T) {
 	}
 	if !better(mk(TierFullDP, 50, 1.0, false), cheapFeasible, feasLimit) {
 		t.Fatal("at equal cost and state, the higher-quality tier must win")
+	}
+}
+
+// Settled holds only when both rungs' answers are undisturbed: a
+// complete full tier and a baseline whose polish ran. A partial or
+// failed full tier, a ladder restricted to one rung, or a deadline that
+// skipped the polish leaves the outcome unsettled.
+func TestSettledOnlyWhenBothRungsUndisturbed(t *testing.T) {
+	g, H := testInstance(7, 32)
+	sv := hgp.Solver{Trees: 2, Seed: 1, Workers: 1}
+	full, err := sv.Solve(g, H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := *full
+	partial.Partial = true
+	answer := func(r *hgp.Result, err error) DPFunc {
+		return func(context.Context, *graph.Graph, *hierarchy.Hierarchy, hgp.Solver) (*hgp.Result, error) {
+			return r, err
+		}
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	floor := TierBaseline
+	cases := []struct {
+		name string
+		ctx  context.Context
+		opts Options
+		want bool
+	}{
+		{"both complete", context.Background(), Options{Solver: sv, SolveDP: answer(full, nil)}, true},
+		{"full tier partial", context.Background(), Options{Solver: sv, SolveDP: answer(&partial, nil)}, false},
+		{"full tier failed", context.Background(), Options{Solver: sv, SolveDP: answer(nil, errors.New("boom"))}, false},
+		{"floor only", context.Background(), Options{Solver: sv, Only: &floor}, false},
+		{"polish skipped", expired, Options{Solver: sv, SolveDP: answer(full, nil)}, false},
+	}
+	for _, tc := range cases {
+		out, err := Solve(tc.ctx, g, H, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.Settled != tc.want {
+			t.Fatalf("%s: Settled = %v, want %v (reports %+v)", tc.name, out.Settled, tc.want, out.Reports)
+		}
 	}
 }

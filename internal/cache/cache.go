@@ -71,6 +71,29 @@ func (c *LRU) Peek(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
+// CompareAndSwap replaces the value under key with val, but only while
+// the entry still holds old (compared with ==, so values must be
+// comparable, as pointers are); a nil val removes the entry instead.
+// It reports whether it changed anything. Like Peek it leaves recency
+// order and hit/miss accounting untouched, and a removal is not an
+// eviction. It lets a caller update an entry it read earlier without
+// overwriting a newer value written meanwhile.
+func (c *LRU) CompareAndSwap(key string, old, val any) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok || el.Value.(*lruEntry).val != old {
+		return false
+	}
+	if val == nil {
+		c.ll.Remove(el)
+		delete(c.items, key)
+		return true
+	}
+	el.Value.(*lruEntry).val = val
+	return true
+}
+
 // Add inserts val under key (refreshing the entry if present), evicting
 // the least recently used entry when the cache is full.
 func (c *LRU) Add(key string, val any) {

@@ -68,6 +68,28 @@ func TestLRUAddRefreshesExisting(t *testing.T) {
 	}
 }
 
+// CompareAndSwap changes an entry only while it holds the expected
+// value, removes it on a nil value, and leaves the accounting alone.
+func TestLRUCompareAndSwap(t *testing.T) {
+	c := New(2)
+	c.Add("a", 1)
+	if c.CompareAndSwap("a", 2, 3) {
+		t.Fatal("swapped an entry that no longer holds the expected value")
+	}
+	if !c.CompareAndSwap("a", 1, 3) {
+		t.Fatal("swap of the expected value failed")
+	}
+	if c.CompareAndSwap("missing", nil, 1) || c.Len() != 1 {
+		t.Fatal("CompareAndSwap inserted a missing key")
+	}
+	if !c.CompareAndSwap("a", 3, nil) || c.Len() != 0 {
+		t.Fatal("a nil value did not remove the entry")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want untouched", st)
+	}
+}
+
 func TestLRUMinimumCapacity(t *testing.T) {
 	c := New(0)
 	c.Add("a", 1)

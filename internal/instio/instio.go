@@ -2,9 +2,11 @@ package instio
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -229,6 +231,14 @@ func ReadInstance(r io.Reader) (*graph.Graph, *hierarchy.Hierarchy, error) {
 // and hierarchy — the shared path behind ReadInstance and callers that
 // embed an Instance inside a larger JSON document (the hgpd request
 // body).
+//
+// Edges are inserted in one fixed order whatever order the instance
+// lists them in: endpoints flipped to U < V, then sorted by (U, V,
+// weight) — the order graph.Edges reports and canon.Permute inserts.
+// Neighbour iteration follows insertion order, and every solver walks
+// neighbours, so without this two instances holding the same edge set
+// (and therefore the same cache keys, which hash the sorted edge list)
+// could be solved to different placements.
 func (inst Instance) Materialize() (*graph.Graph, *hierarchy.Hierarchy, error) {
 	h, err := hierarchy.New(inst.Hierarchy.Deg, inst.Hierarchy.CM)
 	if err != nil {
@@ -244,12 +254,29 @@ func (inst Instance) Materialize() (*graph.Graph, *hierarchy.Hierarchy, error) {
 		}
 		g.SetDemand(v, d)
 	}
+	type edge struct {
+		u, v int
+		w    float64
+	}
+	es := make([]edge, len(inst.Edges))
 	for i, e := range inst.Edges {
 		u, v, w := int(e[0]), int(e[1]), e[2]
 		if u < 0 || u >= inst.N || v < 0 || v >= inst.N || u == v || w < 0 {
 			return nil, nil, fmt.Errorf("instio: bad edge #%d: %v", i, e)
 		}
-		g.AddEdge(u, v, w)
+		es[i] = edge{min(u, v), max(u, v), w}
+	}
+	slices.SortFunc(es, func(a, b edge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	for _, e := range es {
+		g.AddEdge(e.u, e.v, e.w)
 	}
 	return g, h, nil
 }

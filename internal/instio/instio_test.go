@@ -3,6 +3,7 @@ package instio
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,6 +158,60 @@ func TestWriteAssignment(t *testing.T) {
 	for _, frag := range []string{`"assignment"`, `"cost"`, "12.5"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("output %q missing %q", out, frag)
+		}
+	}
+}
+
+// Materialize builds one graph per edge set: listing the same edges in
+// another order, endpoints flipped, yields the same neighbour order
+// (which every solver walks) and the same accumulated weights.
+func TestMaterializeIgnoresEdgeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst := Instance{N: 12, Hierarchy: HierarchySpec{Deg: []int{2, 2}, CM: []float64{4, 1, 0}}}
+	for v := 0; v < inst.N; v++ {
+		inst.Demands = append(inst.Demands, 0.25)
+	}
+	for u := 0; u < inst.N; u++ {
+		for v := u + 1; v < inst.N; v++ {
+			if rng.Intn(3) == 0 {
+				inst.Edges = append(inst.Edges, [3]float64{float64(u), float64(v), float64(1 + rng.Intn(9))})
+			}
+		}
+	}
+	// A repeated edge accumulates; its parts must sum in one order.
+	inst.Edges = append(inst.Edges, [3]float64{0, 1, 0.1}, [3]float64{1, 0, 0.2}, [3]float64{0, 1, 0.3})
+
+	neighbours := func(g *graph.Graph) [][]int {
+		out := make([][]int, g.N())
+		for v := range out {
+			g.Neighbors(v, func(u int, _ float64) { out[v] = append(out[v], u) })
+		}
+		return out
+	}
+	want, _, err := inst.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 5; trial++ {
+		shuffled := inst
+		shuffled.Edges = append([][3]float64(nil), inst.Edges...)
+		rng.Shuffle(len(shuffled.Edges), func(i, j int) {
+			shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
+		})
+		for i, e := range shuffled.Edges {
+			if rng.Intn(2) == 0 {
+				shuffled.Edges[i] = [3]float64{e[1], e[0], e[2]}
+			}
+		}
+		got, _, err := shuffled.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(neighbours(got), neighbours(want)) {
+			t.Fatalf("trial %d: neighbour order depends on the edge list's order", trial)
+		}
+		if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("trial %d: edge weights depend on the edge list's order", trial)
 		}
 	}
 }

@@ -72,10 +72,14 @@ type PartitionResponse struct {
 	// CacheHit reports whether the decomposition came from the LRU —
 	// when true the embed phase was skipped entirely.
 	CacheHit bool `json:"cache_hit"`
-	// ResultCacheHit reports that the entire solve was answered from the
-	// full-result cache: no admission, no decomposition, no DP. CacheHit
-	// is false on such responses (the decomposition cache was never
-	// consulted), and DecomposeMS/SolveMS are 0.
+	// ResultCacheHit reports that the returned placement is a
+	// result-cache entry replayed verbatim: no decomposition, no DP.
+	// CacheHit is false on such responses (the decomposition cache was
+	// never consulted), and DecomposeMS/SolveMS are 0. Most such hits
+	// skip admission too; a ladder request whose entry has no floor
+	// verdict yet runs the floor rung first, and then also carries a
+	// degradation block whose full_dp report says "cached": true. A
+	// floor win over a cached DP result is not a result-cache hit.
 	ResultCacheHit bool `json:"result_cache_hit,omitempty"`
 	// PeerFetchHit reports that the answer's expensive artifact came
 	// over the wire from its cluster owner instead of local work: the
@@ -202,53 +206,59 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Result-cache precheck, before any admission cost is paid: a repeat
-	// of a completed full-quality solve is served straight from memory —
-	// no breaker probe, no queue slot, no decomposition, no DP. The key
-	// (cache.ResultKey, or cache.ResultKeyCanon once canonicalized)
-	// covers everything that shapes the returned placement; Workers is
-	// excluded because results are bit-identical at every worker count.
-	var rkey string
+	// Result-cache precheck, before any admission cost is paid. The cache
+	// holds complete full-pipeline DP results, each with the ladder's
+	// floor verdict once one is known. A no_degrade request, or a ladder
+	// request whose DP result is known to win, is served straight from
+	// memory — no breaker probe, no queue slot, no decomposition, no DP.
+	// Any other entry becomes the ladder's memo: the request goes on
+	// through admission, its full tier is answered from the entry, and
+	// only the floor rung runs. The key (cache.ResultKey, or
+	// cache.ResultKeyCanon once canonicalized) covers everything that
+	// shapes the returned placement; Workers is excluded because results
+	// are bit-identical at every worker count.
+	noDegrade := req.NoDegrade || s.cfg.DisableDegradation
+	var (
+		rkey          string
+		memo          *resultEntry
+		fetched, peer bool // memo came over the wire; this request fetched it
+	)
 	if s.results != nil {
 		if cn != nil {
 			rkey = cache.ResultKeyCanon(cn.Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 		} else {
 			rkey = cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
 		}
-		if v, ok := s.results.Get(rkey); ok && s.fitsRequest(v.(*hgp.Result), gSolve, H, "result_hit") {
-			s.reg.Counter("result_cache_hits_total").Inc()
-			s.writePartitionOK(w, start, v.(*hgp.Result), false, true, false, 0, 0, nil, cn)
-			return
+		if memo = s.lookupResult(rkey, gSolve, H); memo == nil {
+			s.reg.Counter("result_cache_misses_total").Inc()
 		}
-		s.reg.Counter("result_cache_misses_total").Inc()
 		// Cluster mode: the key's owner may have solved this exact
-		// request already. A validated peer result is inserted locally
-		// (repeat requests here become plain result-cache hits) and
-		// rendered through the same path as a local result-cache hit,
-		// so the body is bit-identical to one. Any failure — miss,
-		// dead owner, corrupt frame — falls through to a local solve.
-		// The fetch runs inside the singleflight group (keyed apart from
-		// the solve coalescing below) so a miss storm on one key costs
-		// the owner one network round trip, not N concurrent fetches
-		// each paying timeout × retries against a slow peer.
-		if s.cluster != nil {
+		// request already. A certified peer result is inserted locally
+		// (repeat requests here find it in the cache) and used exactly
+		// like a local entry, so the body is bit-identical to one. Any
+		// failure — miss, dead owner, corrupt frame, failed check —
+		// falls through to a local solve. The fetch runs inside the
+		// singleflight group (keyed apart from the solve coalescing
+		// below) so a miss storm on one key costs the owner one network
+		// round trip, not N concurrent fetches each paying timeout ×
+		// retries against a slow peer.
+		if memo == nil && s.cluster != nil {
 			v, shared, ferr := s.rflight.Do(r.Context(), rkey+"|peerfetch", func() (any, error) {
-				res, ok := s.cluster.fetchResult(r.Context(), rkey)
-				if !ok || !s.fitsRequest(res, gSolve, H, "peer_fetch") {
-					return (*hgp.Result)(nil), nil
-				}
-				s.results.Add(rkey, res)
-				return res, nil
+				return s.fetchResult(r.Context(), rkey, gSolve, H), nil
 			})
-			if ferr == nil {
-				if res, _ := v.(*hgp.Result); res != nil {
-					// Coalesced waiters share the fetched result, but only
-					// the fetching request reports peer_fetch_hit —
-					// mirroring the decomposition path's attribution.
-					s.writePartitionOK(w, start, res, false, true, !shared, 0, 0, nil, cn)
-					return
-				}
+			if e, _ := v.(*resultEntry); ferr == nil && e != nil {
+				// Coalesced waiters share the fetched result, but only
+				// the fetching request reports peer_fetch_hit —
+				// mirroring the decomposition path's attribution.
+				memo, fetched, peer = e, true, !shared
 			}
+		}
+		if memo != nil && (noDegrade || memo.verdict == verdictDPWon) {
+			if !fetched {
+				s.reg.Counter("result_cache_hits_total").Inc()
+			}
+			s.writePartitionOK(w, start, &solveOutcome{res: memo.res, resultHit: true}, peer, cn)
+			return
 		}
 	}
 
@@ -334,15 +344,19 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	noDegrade := req.NoDegrade || s.cfg.DisableDegradation
 	runSolve := func() (*solveOutcome, error) {
 		oc := &solveOutcome{}
+		// full is the complete DP result this run produced or used, and
+		// verdict the floor verdict on it when the ladder settled one.
+		var full *hgp.Result
+		verdict := verdictNone
 		if noDegrade {
 			res, hit, dd, sd, serr := s.solve(ctx, gSolve, H, sv, cn)
 			if serr != nil {
 				return nil, serr
 			}
 			oc.res, oc.cacheHit, oc.decompDur, oc.solveDur = res, hit, dd, sd
+			full = res
 		} else {
 			ladderOpts := anytime.Options{Solver: sv}
 			if mode == modeFloor {
@@ -355,15 +369,20 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 			}
 			// The ladder path: the full pipeline and the heuristic baseline
 			// run under the request's deadline; the best feasible placement
-			// wins. The full tier runs through s.solve so it shares the
+			// wins. The full tier is answered from the memo when there is
+			// one, and otherwise runs through s.solve so it shares the
 			// decomposition cache and singleflight group. Its cache outcome
 			// and phase timings are the response's when it wins; a baseline
 			// win has neither phase. anytime.Solve collects every rung
 			// before returning, so reading them after it needs no lock.
 			var dp solveOutcome
 			ladderOpts.SolveDP = func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
+				if memo != nil {
+					dp.res, dp.tierHit = memo.res, true
+					return memo.res, nil
+				}
 				r, hit, d, sd, serr := s.solve(ctx, g, H, sv, cn)
-				dp.cacheHit, dp.decompDur, dp.solveDur = hit, d, sd
+				dp.res, dp.cacheHit, dp.decompDur, dp.solveDur = r, hit, d, sd
 				return r, serr
 			}
 			out, serr := anytime.Solve(ctx, gSolve, H, ladderOpts)
@@ -371,8 +390,16 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 				return nil, serr
 			}
 			oc.res = out.Result
+			if dp.tierHit {
+				out.Reports[anytime.TierFullDP].Cached = true
+				oc.tierHit = true
+				s.reg.Counter("result_cache_tier_hits_total").Inc()
+			}
 			if out.Tier == anytime.TierFullDP {
 				oc.cacheHit, oc.decompDur, oc.solveDur = dp.cacheHit, dp.decompDur, dp.solveDur
+				// A memoized full tier that wins replays the cached
+				// placement verbatim.
+				oc.resultHit = dp.tierHit
 			}
 			oc.degResp = &DegradationResponse{
 				Tier:      out.Tier.String(),
@@ -384,23 +411,22 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 			if out.Degraded {
 				s.reg.Counter(fmt.Sprintf("degraded_total{tier=%q}", out.Tier.String())).Inc()
 			}
-			oc.degraded = out.Degraded || out.Tier != anytime.TierFullDP
-		}
-		// Only complete full-pipeline results enter the result cache: a
-		// degraded or partial placement must not be replayed to callers
-		// who would have gotten the full answer.
-		if s.results != nil && !oc.degraded && !oc.res.Partial {
-			s.results.Add(rkey, oc.res)
-			s.reg.Counter("result_cache_inserts_total").Inc()
-			if s.cluster != nil {
-				// Replicate the full-quality result to the key's
-				// remote replicas (the fan-out skips self) so the next
-				// submission of this request anywhere in the cluster
-				// finds it where routing looks. Degraded and partial
-				// results never travel, for the same reason they never
-				// enter the local result cache.
-				s.cluster.pushResult(rkey, oc.res)
+			if st := out.Reports[anytime.TierFullDP].State; st == anytime.StateWon || st == anytime.StateCompleted {
+				full = dp.res
 			}
+			if out.Settled {
+				verdict = verdictFloorWon
+				if out.Tier == anytime.TierFullDP {
+					verdict = verdictDPWon
+				}
+			}
+		}
+		// Only complete full-pipeline DP results enter the result cache,
+		// won or lost: a partial one must not be replayed to callers who
+		// would have gotten the full answer, and a floor answer is cheap
+		// to recompute while the DP is not.
+		if s.results != nil && full != nil && !full.Partial {
+			s.storeResult(rkey, memo, full, verdict)
 		}
 		return oc, nil
 	}
@@ -454,7 +480,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.writePartitionOK(w, start, oc.res, oc.cacheHit, false, pfm.hit.Load(), oc.decompDur, oc.solveDur, oc.degResp, cn)
+	s.writePartitionOK(w, start, oc, pfm.hit.Load() || (peer && oc.resultHit), cn)
 }
 
 // fitsRequest checks a cached or fetched result against the request
@@ -479,26 +505,34 @@ func (s *Server) fitsRequest(res *hgp.Result, g *graph.Graph, H *hierarchy.Hiera
 // solveOutcome bundles one completed solve so identical concurrent
 // requests can share it through the singleflight group.
 type solveOutcome struct {
-	res                 *hgp.Result
-	cacheHit            bool
+	res *hgp.Result
+	// cacheHit: the decomposition came from the LRU.
+	cacheHit bool
+	// resultHit: the placement is a result-cache entry, replayed
+	// verbatim.
+	resultHit bool
+	// tierHit: the ladder's full tier was answered from the result
+	// cache, so no DP ran for this answer.
+	tierHit             bool
 	decompDur, solveDur time.Duration
 	degResp             *DegradationResponse
-	degraded            bool
 }
 
 // writePartitionOK renders a successful solve. NaN per-tree costs
 // (errored trees) and +Inf (pruned trees) both become null — neither is
 // representable in JSON; TreesPruned carries the distinction. The solve
-// latency histogram only sees real solves: a result-cache hit did no
-// solving and would drag the distribution toward zero.
+// latency histogram only sees answers that ran their DP or lost it to
+// the floor: a result-cache hit or memoized tier did no DP and would
+// drag the distribution toward zero.
 //
-// With a canonical form (cn non-nil) res lives in canonical space —
-// possibly shared with other requests through the caches — so the
-// assignment is translated back through this request's own permutation
-// into a FRESH slice before rendering; the cached result is never
-// mutated. Cost, violations, and per-tree costs are label-invariant
-// and pass through untouched.
-func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *hgp.Result, cacheHit, resultHit, peerFetch bool, decompDur, solveDur time.Duration, degResp *DegradationResponse, cn *canon.Form) {
+// With a canonical form (cn non-nil) the result lives in canonical
+// space — possibly shared with other requests through the caches — so
+// the assignment is translated back through this request's own
+// permutation into a FRESH slice before rendering; the cached result is
+// never mutated. Cost, violations, and per-tree costs are
+// label-invariant and pass through untouched.
+func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, oc *solveOutcome, peerFetch bool, cn *canon.Form) {
+	res := oc.res
 	perTree := make([]*float64, len(res.PerTreeCosts))
 	for i, c := range res.PerTreeCosts {
 		if !math.IsNaN(c) && !math.IsInf(c, 1) {
@@ -514,7 +548,7 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 		// label-invariant fingerprint — the owner's entry may have been
 		// written by a different user's isomorphic submission — so it
 		// counts as a canon hit like any local one.
-		if cacheHit || resultHit || peerFetch {
+		if oc.cacheHit || oc.resultHit || peerFetch {
 			canonHit = true
 			s.reg.Counter("canon_hits_total").Inc()
 		}
@@ -523,8 +557,8 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 	s.reg.Counter("partition_ok_total").Inc()
 	s.reg.Counter("http_status_200_total").Inc()
 	s.reg.Histogram("request_seconds").Observe(elapsed.Seconds())
-	if !resultHit {
-		s.reg.Histogram("solve_seconds").Observe(solveDur.Seconds())
+	if !oc.resultHit && !oc.tierHit {
+		s.reg.Histogram("solve_seconds").Observe(oc.solveDur.Seconds())
 	}
 	writeJSON(w, http.StatusOK, PartitionResponse{
 		Assignment:     assignment,
@@ -535,14 +569,14 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, res *h
 		TreesPruned:    res.TreesPruned,
 		Violation:      res.Violation,
 		States:         res.States,
-		CacheHit:       cacheHit,
-		ResultCacheHit: resultHit,
+		CacheHit:       oc.cacheHit,
+		ResultCacheHit: oc.resultHit,
 		PeerFetchHit:   peerFetch,
 		CanonHit:       canonHit,
 		ElapsedMS:      float64(elapsed.Microseconds()) / 1000,
-		DecomposeMS:    float64(decompDur.Microseconds()) / 1000,
-		SolveMS:        float64(solveDur.Microseconds()) / 1000,
-		Degradation:    degResp,
+		DecomposeMS:    float64(oc.decompDur.Microseconds()) / 1000,
+		SolveMS:        float64(oc.solveDur.Microseconds()) / 1000,
+		Degradation:    oc.degResp,
 	})
 }
 
@@ -597,8 +631,9 @@ type StatsResponse struct {
 	Snapshots *snapshotStats `json:"snapshots,omitempty"` // omitted when the cache is memory-only
 	Cache     *cacheStats    `json:"cache,omitempty"`     // omitted when caching is disabled
 	// ResultCache is the full-result cache's accounting; omitted when
-	// disabled. Hits here are whole solves never run.
-	ResultCache *cacheStats `json:"result_cache,omitempty"`
+	// disabled. Hits here are DP runs never made: whole solves, or
+	// ladder full tiers (TierHits) answered from the cache.
+	ResultCache *resultCacheStats `json:"result_cache,omitempty"`
 	// Portfolio is the tree-portfolio accounting: incumbent pruning and
 	// tree-level concurrency across all solves. Always present.
 	Portfolio portfolioBlock `json:"portfolio"`
@@ -681,6 +716,15 @@ type cacheStats struct {
 	HitRatio  float64 `json:"hit_ratio"`
 }
 
+// resultCacheStats is the `result_cache` block of /v1/stats: the LRU's
+// accounting plus TierHits, the ladder full tiers answered from the
+// cache (result_cache_tier_hits_total) — requests whose floor rung
+// still ran.
+type resultCacheStats struct {
+	cacheStats
+	TierHits int64 `json:"tier_hits"`
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET required")
@@ -734,9 +778,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.results != nil {
 		rs := s.results.Stats()
-		resp.ResultCache = &cacheStats{
-			Hits: rs.Hits, Misses: rs.Misses, Evictions: rs.Evictions,
-			Len: rs.Len, Capacity: rs.Capacity, HitRatio: rs.HitRatio,
+		resp.ResultCache = &resultCacheStats{
+			cacheStats: cacheStats{
+				Hits: rs.Hits, Misses: rs.Misses, Evictions: rs.Evictions,
+				Len: rs.Len, Capacity: rs.Capacity, HitRatio: rs.HitRatio,
+			},
+			TierHits: s.reg.Counter("result_cache_tier_hits_total").Value(),
 		}
 	}
 	resp.Portfolio = portfolioBlock{

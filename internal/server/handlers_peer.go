@@ -9,7 +9,6 @@ import (
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
-	"hierpart/internal/hgp"
 )
 
 // The /v1/peer surface is the cluster's internal wire: peers exchange
@@ -31,7 +30,10 @@ import (
 // closes this: when configured, every peer request must present it
 // (checked first, before drain or key validation, in constant time)
 // and everything else is 403. Run clusters with a secret unless the
-// listen address is genuinely unreachable by untrusted clients.
+// listen address is genuinely unreachable by untrusted clients. A
+// pushed result's cost is checked once a request brings its graph
+// (usableResult), so a push cannot lie about what its placement costs
+// — but a valid, worse placement under the key still gets served.
 
 // authorizePeer enforces the cluster shared secret, when one is
 // configured. It returns false with the 403 already written (and a
@@ -169,7 +171,7 @@ func (s *Server) handlePeerResultGet(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 	if s.results != nil {
 		if v, ok := s.results.Peek(key); ok {
-			writeWireBody(w, diskstore.EncodeResult(v.(*hgp.Result)))
+			writeWireBody(w, diskstore.EncodeResult(v.(*resultEntry).res))
 			return
 		}
 	}
@@ -211,7 +213,11 @@ func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.results != nil {
-		s.results.Add(key, res)
+		// Structure only: the receiver cannot tell a pushed result's
+		// cost from a wrong one until a request brings the graph, so
+		// the entry goes in unchecked and without a floor verdict
+		// (usableResult, the ladder memo).
+		s.results.Add(key, &resultEntry{res: res})
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

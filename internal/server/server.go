@@ -373,9 +373,13 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Counter("canon_ok_total")
 	s.reg.Counter("canon_fallback_total")
 	s.reg.Counter("canon_hits_total")
-	// The result-hit checks (fitsRequest), one series per ingest source.
+	// The result-hit checks (usableResult), one series per ingest
+	// source, and the memoized ladder tiers.
 	for _, src := range []string{"result_hit", "peer_fetch"} {
 		s.reg.Counter(telemetry.Series("certify_failures_total", "source", src))
+	}
+	if s.results != nil {
+		s.reg.Counter("result_cache_tier_hits_total")
 	}
 	if len(cfg.Peers) > 0 {
 		if s.dec == nil {
@@ -769,9 +773,12 @@ func (s *Server) hasResultLocal(key string) bool {
 	return ok
 }
 
+// storeResultLocal lands a repair-pulled result where an accepted peer
+// push lands one: in the result cache, without a floor verdict and
+// unchecked until a request uses it.
 func (s *Server) storeResultLocal(key string, v any) {
 	if s.results != nil {
-		s.results.Add(key, v.(*hgp.Result))
+		s.results.Add(key, &resultEntry{res: v.(*hgp.Result)})
 	}
 }
 
