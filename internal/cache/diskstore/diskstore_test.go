@@ -156,7 +156,7 @@ func TestCorruptEntriesSkipped(t *testing.T) {
 			if err := s.Save(key, d, nil); err != nil {
 				t.Fatal(err)
 			}
-			path := s.entryPath(key)
+			path := s.dir.file(key)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -208,7 +208,7 @@ func TestLoadAllNewestFirstWithLimit(t *testing.T) {
 		}
 		// Distinct mtimes so newest-first ordering is deterministic.
 		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
-		if err := os.Chtimes(s.entryPath(key), mt, mt); err != nil {
+		if err := os.Chtimes(s.dir.file(key), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
@@ -274,12 +274,12 @@ func TestPruneBoundsGeneration(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		os.Chtimes(s.entryPath(key), mt, mt)
+		os.Chtimes(s.dir.file(key), mt, mt)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := s.listEntries()
+	files, err := s.dir.list()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,14 +441,14 @@ func TestV1FormatFilesSkippedAndCounted(t *testing.T) {
 	if err := s.Save(key, d, nil); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(s.entryPath(key))
+	raw, err := os.ReadFile(s.dir.file(key))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A v1 payload is the bare decomposition encoding (no perm section).
 	v1 := rebuildEntry(encodeDecomposition(d))
 	binary.LittleEndian.PutUint32(v1[len(magic):], 1)
-	if err := os.WriteFile(s.entryPath(key), v1, 0o644); err != nil {
+	if err := os.WriteFile(s.dir.file(key), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Load(key); ok {
@@ -465,7 +465,7 @@ func TestV1FormatFilesSkippedAndCounted(t *testing.T) {
 		t.Fatalf("LoadAll surfaced %d v1 entries", n)
 	}
 	// Restore the v2 bytes: the same file loads again.
-	if err := os.WriteFile(s.entryPath(key), raw, 0o644); err != nil {
+	if err := os.WriteFile(s.dir.file(key), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Load(key); !ok {

@@ -182,7 +182,9 @@ func decodeDecomposition(buf []byte) (*treedecomp.Decomposition, error) {
 			if math.IsNaN(dem) || dem < 0 {
 				return nil, fmt.Errorf("diskstore: tree %d node %d: invalid demand %v", ti, v, dem)
 			}
-			if dem != 0 && !t.IsLeaf(v) {
+			// Bits, not value: an internal -0 would decode and then
+			// re-encode as +0, giving one entry two encodings.
+			if db != 0 && !t.IsLeaf(v) {
 				return nil, fmt.Errorf("diskstore: tree %d node %d: internal node carries demand %v", ti, v, dem)
 			}
 			demands[v] = dem

@@ -5,10 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"hierpart/internal/telemetry"
@@ -17,11 +14,10 @@ import (
 // Hinted handoff: when the cluster cannot deliver a replica-ward push
 // (the target is dead, draining, or failing), the entry is staged here
 // as a Hint and replayed once health gossip reports the target
-// routable again. Hints reuse the snapshot machinery wholesale — the
-// same WrapWire framing (magic, versions, length, SHA-256), the same
-// atomic temp→fsync→rename→fsync-dir commit, the same skip-and-count
-// verdict for damaged files — so a hint that survives a crash is
-// exactly as trustworthy as a snapshot entry that did.
+// routable again. Persisted hints are records in a Dir, exactly like
+// snapshot entries — one code path for the frame, the atomic commit and
+// the skip verdict for damaged files — so a hint that survives a crash
+// is exactly as trustworthy as a snapshot entry that did.
 //
 // The queue is bounded (a long-dead peer must not grow the disk
 // without limit): staging beyond capacity drops the NEW hint, counted
@@ -53,15 +49,15 @@ type Hint struct {
 
 // id derives the hint's stable identity: staging the same (peer, kind,
 // key) twice replaces the payload instead of queueing a duplicate, and
-// the id doubles as the on-disk file name (hex, so it can never escape
-// the hints directory).
+// the id doubles as the hint's record id in its Dir.
 func (h Hint) id() string {
 	sum := sha256.Sum256([]byte(h.Peer + "\x00" + h.Kind + "\x00" + h.Key))
 	return hex.EncodeToString(sum[:])
 }
 
 // encodeHint serializes a hint: uvarint-length-prefixed peer, kind,
-// and key, then the payload as the remainder.
+// and key, then the payload as the remainder. decodeHint accepts only
+// minimal length prefixes, so an accepted hint has one encoding.
 func encodeHint(h Hint) []byte {
 	var buf []byte
 	for _, s := range []string{h.Peer, h.Kind, h.Key} {
@@ -78,6 +74,9 @@ func decodeHint(payload []byte) (Hint, error) {
 		if sz <= 0 || uint64(len(payload)-sz) < n {
 			return Hint{}, fmt.Errorf("hint: truncated field")
 		}
+		if sz != len(binary.AppendUvarint(nil, n)) {
+			return Hint{}, fmt.Errorf("hint: non-minimal length prefix")
+		}
 		*dst = string(payload[sz : sz+int(n)])
 		payload = payload[sz+int(n):]
 	}
@@ -93,27 +92,26 @@ type hintState struct {
 	attempts int
 }
 
-// HintQueue is the bounded, disk-backed hinted-handoff queue. With an
-// empty dir it is memory-only (hints die with the process — the
-// cluster still self-heals via anti-entropy); with a dir, staged hints
-// are persisted by FlushPending under the snapshot store's fsync
-// discipline and reloaded on open, so a restart resumes the handoff it
-// owed.
+// HintQueue is the bounded hinted-handoff queue. It keeps only the
+// in-memory queue; with a dir its records live in a Dir (".hint"
+// files): FlushPending makes staged hints durable through the Dir's
+// staged writes, and reopening scans them back, so a restart resumes
+// the handoff it owed. Without a dir hints die with the process — the
+// cluster still self-heals via anti-entropy.
 type HintQueue struct {
-	dir string // "" = memory-only
+	dir *Dir // nil = memory-only
 	max int
 	reg *telemetry.Registry
 
 	mu    sync.Mutex
 	hints map[string]*hintState // by Hint.id()
-	dirty map[string]bool       // ids staged since the last flush
-	dead  []string              // ids whose files await removal
 }
 
 // OpenHintQueue prepares a hint queue persisted under dir (empty for
 // memory-only), bounded to max hints, reporting into reg (nil means
 // telemetry.Default). Existing hints under dir are loaded; damaged
-// files are skipped and counted exactly like damaged snapshots.
+// files are skipped, counted and removed like any damaged record, and
+// hints beyond max are dropped.
 func OpenHintQueue(dir string, max int, reg *telemetry.Registry) (*HintQueue, error) {
 	if reg == nil {
 		reg = telemetry.Default
@@ -121,13 +119,7 @@ func OpenHintQueue(dir string, max int, reg *telemetry.Registry) (*HintQueue, er
 	if max < 1 {
 		max = 1
 	}
-	q := &HintQueue{
-		dir:   dir,
-		max:   max,
-		reg:   reg,
-		hints: map[string]*hintState{},
-		dirty: map[string]bool{},
-	}
+	q := &HintQueue{max: max, reg: reg, hints: map[string]*hintState{}}
 	// Pre-register the family at zero so scrapers never see a series
 	// pop into existence mid-flight.
 	reg.Counter("hints_staged_total")
@@ -137,51 +129,29 @@ func OpenHintQueue(dir string, max int, reg *telemetry.Registry) (*HintQueue, er
 	if dir == "" {
 		return q, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("diskstore: hints: %w", err)
-	}
-	dirents, err := os.ReadDir(dir)
+	d, err := OpenDir(dir, hintSuffix, reg)
 	if err != nil {
-		return nil, fmt.Errorf("diskstore: hints: %w", err)
+		return nil, err
 	}
-	for _, de := range dirents {
-		name := de.Name()
-		if strings.HasSuffix(name, tempSuffix) {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, hintSuffix) || de.IsDir() {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		raw, err := os.ReadFile(path)
+	q.dir = d
+	err = d.Each(0, func(id string, payload []byte) error {
+		h, err := decodeHint(payload)
 		if err != nil {
-			continue
+			return err
 		}
-		h, err := unwrapHint(raw)
-		if err != nil || len(q.hints) >= q.max {
-			// Damaged hints get the snapshot verdict (skip and count);
-			// overflow beyond the configured bound is a drop.
-			if err != nil {
-				skipCount(reg, err)
-			} else {
-				reg.Counter("hints_dropped_total").Inc()
-			}
-			os.Remove(path)
-			continue
+		if len(q.hints) >= q.max {
+			reg.Counter("hints_dropped_total").Inc()
+			d.Delete(id)
+			return nil
 		}
 		q.hints[h.id()] = &hintState{h: h}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	reg.Gauge("hints_queued").Set(int64(len(q.hints)))
 	return q, nil
-}
-
-func unwrapHint(raw []byte) (Hint, error) {
-	payload, err := UnwrapWire(raw)
-	if err != nil {
-		return Hint{}, err
-	}
-	return decodeHint(payload)
 }
 
 // Stage queues h for later replay, replacing any staged hint for the
@@ -194,19 +164,14 @@ func (q *HintQueue) Stage(h Hint) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	id := h.id()
-	if st, ok := q.hints[id]; ok {
-		st.h = h
-		st.attempts = 0
-		q.dirty[id] = true
-		q.reg.Counter("hints_staged_total").Inc()
-		return true
-	}
-	if len(q.hints) >= q.max {
+	if _, ok := q.hints[id]; !ok && len(q.hints) >= q.max {
 		q.reg.Counter("hints_dropped_total").Inc()
 		return false
 	}
 	q.hints[id] = &hintState{h: h}
-	q.dirty[id] = true
+	if q.dir != nil {
+		q.dir.Stage(id, func() []byte { return encodeHint(h) })
+	}
 	q.reg.Counter("hints_staged_total").Inc()
 	q.reg.Gauge("hints_queued").Set(int64(len(q.hints)))
 	return true
@@ -282,9 +247,8 @@ func (q *HintQueue) remove(id, counter string) {
 		return
 	}
 	delete(q.hints, id)
-	delete(q.dirty, id)
-	if q.dir != "" {
-		q.dead = append(q.dead, id)
+	if q.dir != nil {
+		q.dir.Unstage(id)
 	}
 	q.reg.Counter(counter).Inc()
 	q.reg.Gauge("hints_queued").Set(int64(len(q.hints)))
@@ -314,51 +278,15 @@ func (q *HintQueue) Len() int {
 	return len(q.hints)
 }
 
-// FlushPending makes the queue's memory state durable: every hint
-// staged since the last flush is written atomically (temp file, fsync,
-// rename, directory fsync — the snapshot commit sequence), and files
-// of resolved or dropped hints are removed. Memory-only queues return
-// nil immediately. A failed write stays dirty and is retried at the
-// next flush.
+// FlushPending makes the queue's memory state durable through the
+// Dir's staged writes: every hint staged since the last flush is
+// written atomically, and the files of resolved or dropped hints are
+// removed. A failed write stays staged for the next flush. Memory-only
+// queues return nil immediately.
 func (q *HintQueue) FlushPending() error {
-	if q.dir == "" {
+	if q.dir == nil {
 		return nil
 	}
-	q.mu.Lock()
-	var writes []Hint
-	for id := range q.dirty {
-		if st, ok := q.hints[id]; ok {
-			writes = append(writes, st.h)
-		}
-		delete(q.dirty, id)
-	}
-	dead := q.dead
-	q.dead = nil
-	q.mu.Unlock()
-
-	var firstErr error
-	sort.Slice(writes, func(i, j int) bool { return writes[i].id() < writes[j].id() })
-	for _, h := range writes {
-		final := filepath.Join(q.dir, h.id()+hintSuffix)
-		if err := commitFile(q.dir, final, WrapWire(encodeHint(h))); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("diskstore: hints: %w", err)
-			}
-			q.mu.Lock()
-			if _, live := q.hints[h.id()]; live {
-				q.dirty[h.id()] = true
-			}
-			q.mu.Unlock()
-		}
-	}
-	removed := false
-	for _, id := range dead {
-		if os.Remove(filepath.Join(q.dir, id+hintSuffix)) == nil {
-			removed = true
-		}
-	}
-	if removed {
-		_ = syncDirPath(q.dir)
-	}
-	return firstErr
+	_, _, err := q.dir.Flush()
+	return err
 }

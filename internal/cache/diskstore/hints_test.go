@@ -2,10 +2,12 @@ package diskstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"hierpart/internal/faultinject"
 	"hierpart/internal/telemetry"
 )
 
@@ -174,5 +176,42 @@ func TestHintQueueDropPeer(t *testing.T) {
 	}
 	if got := reg.Counter("hints_dropped_total").Value(); got != 2 {
 		t.Fatalf("hints_dropped_total = %d, want 2", got)
+	}
+}
+
+// A hint write that fails at the sync step removes its temp file at
+// once (not at the next reopen) and stays staged: the next flush
+// writes it.
+func TestHintQueueFailedWriteLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	q, err := OpenHintQueue(dir, 16, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Stage(testHint("http://a:1", "k1", []byte("payload")))
+	injected := errors.New("injected disk fault")
+	restore := faultinject.Activate(faultinject.New(1).On(faultinject.DiskSync, faultinject.Fault{Prob: 1, Err: injected}))
+	flushErr := q.FlushPending()
+	restore()
+	if !errors.Is(flushErr, injected) {
+		t.Fatalf("FlushPending = %v, want the injected fault", flushErr)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("after the failed write the hints dir holds %v, want nothing", ents)
+	}
+
+	if err := q.FlushPending(); err != nil {
+		t.Fatal(err)
+	}
+	q2, err := OpenHintQueue(dir, 16, telemetry.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.Len() != 1 {
+		t.Fatalf("reopened queue holds %d hints, want the re-staged one", q2.Len())
 	}
 }

@@ -27,13 +27,13 @@ const (
 	CacheLookup Point = "cache.lookup"
 	// ServerSolve fires at the top of every admitted partition solve.
 	ServerSolve Point = "server.solve"
-	// DiskWrite fires before every snapshot-entry write in the
-	// decomposition disk store (diskstore.Store.Save), after the payload
-	// is encoded but before any byte reaches the filesystem.
+	// DiskWrite fires before every record write under -state-dir
+	// (diskstore.Dir.Put: snapshot entries, hints and sessions), after
+	// the payload is encoded but before any byte reaches the filesystem.
 	DiskWrite Point = "disk.write"
-	// DiskSync fires before the fsync-then-rename commit step shared by
-	// snapshot entries and hinted-handoff files — the window where a
-	// crash leaves only the temp file.
+	// DiskSync fires before the fsync-then-rename step of every record
+	// write (diskstore.Dir.Put) — the window where a crash leaves only
+	// the temp file.
 	DiskSync Point = "disk.sync"
 	// PeerFetch fires in the cluster peer-fetch client after a peer's
 	// response body has been read but before it is validated — the

@@ -159,9 +159,9 @@ func newCluster(cfg Config) (*cluster, error) {
 	if cfg.HintQueueEntries >= 0 {
 		dir := ""
 		if cfg.StateDir != "" {
-			// A subdirectory of the snapshot store: listEntries skips
-			// directories, so snapshots and hints coexist under one
-			// -state-dir without seeing each other's files.
+			// A subdirectory of the snapshot store: each record Dir
+			// scans only its own suffix and skips directories, so
+			// snapshots and hints coexist under one -state-dir.
 			dir = filepath.Join(cfg.StateDir, "hints")
 		}
 		hq, err := diskstore.OpenHintQueue(dir, cfg.HintQueueEntries, cfg.Registry)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -902,6 +903,54 @@ func TestClusterShortResultIsServedAsMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A replication push of a result this daemon already solved and checked
+// leaves the held entry alone: the pushed copy is unchecked and has no
+// floor verdict, so taking it would send the next ladder request back
+// through the floor rung and the cost recomputation.
+func TestClusterPeerPutKeepsCheckedResult(t *testing.T) {
+	nodes := startTestCluster(t, 1, func(i int, cfg *Config) { cfg.ResultCacheEntries = 64 })
+	nd := nodes[0]
+	req := ladderRequest()
+	key := resultKeyFor(t, req)
+	first := mustPartition(t, nd.srv.Handler(), req)
+	if first.Degradation == nil || first.Degradation.Tier != "full_dp" {
+		t.Fatalf("the fixture's full tier no longer wins the ladder: %+v", first.Degradation)
+	}
+
+	resp, err := http.Get(nd.url + "/v1/peer/result/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET held result: status %d (%v)", resp.StatusCode, err)
+	}
+	put, _ := http.NewRequest(http.MethodPut, nd.url+"/v1/peer/result/"+key, bytes.NewReader(body))
+	resp, err = http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT of the held result: status %d, want 204", resp.StatusCode)
+	}
+
+	tierHits := nd.reg.Counter("result_cache_tier_hits_total").Value()
+	certify := labeled(nd.reg, "certify_failures_total", "source", "result_hit")
+	again := mustPartition(t, nd.srv.Handler(), req)
+	if !again.ResultCacheHit {
+		t.Fatal("the repeat after the PUT was not answered from memory")
+	}
+	if got := nd.reg.Counter("result_cache_tier_hits_total").Value(); got != tierHits {
+		t.Fatalf("result_cache_tier_hits_total %d → %d: the PUT dropped the entry's floor verdict", tierHits, got)
+	}
+	if got := labeled(nd.reg, "certify_failures_total", "source", "result_hit"); got != certify {
+		t.Fatalf("certify_failures_total{source=result_hit} %d → %d", certify, got)
+	}
+	sameAnswer(t, "repeat after PUT", again, first)
 }
 
 // A frame that validates but whose entry payload does not decode is ONE

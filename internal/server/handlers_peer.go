@@ -183,8 +183,10 @@ func (s *Server) handlePeerResultGet(w http.ResponseWriter, r *http.Request) {
 // results are refused: the result cache holds only complete
 // full-pipeline results — pushers never send anything else, so the
 // receiver enforces the invariant at the trust boundary rather than
-// assuming it. With the result cache disabled the push is acknowledged
-// and dropped — the pusher's duty ends at delivery.
+// assuming it. An accepted push lands through storeResultLocal, which
+// keeps an entry this daemon already checked. With the result cache
+// disabled the push is acknowledged and dropped — the pusher's duty
+// ends at delivery.
 func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 	key, ok := s.admitPeer(w, r)
 	if !ok {
@@ -212,13 +214,7 @@ func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 			"partial results never enter the result cache; push refused")
 		return
 	}
-	if s.results != nil {
-		// Structure only: the receiver cannot tell a pushed result's
-		// cost from a wrong one until a request brings the graph, so
-		// the entry goes in unchecked and without a floor verdict
-		// (usableResult, the ladder memo).
-		s.results.Add(key, &resultEntry{res: res})
-	}
+	s.storeResultLocal(key, res)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -296,10 +296,10 @@ type Server struct {
 	// is memory-only.
 	store *diskstore.Store
 	// sessions is the graph-session LRU (/v1/graphs); nil when sessions
-	// are disabled. sessStore persists session snapshots under
-	// StateDir/sessions; nil when memory-only.
+	// are disabled. sessStore holds one session snapshot record per
+	// session under StateDir/sessions; nil when memory-only.
 	sessions  *sessionStore
-	sessStore *diskstore.SessionStore
+	sessStore *diskstore.Dir
 	// cluster is the shard-group state (ring, peer clients, health
 	// poller); nil outside cluster mode.
 	cluster *cluster
@@ -407,23 +407,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessions > 0 {
 		s.sessions = newSessionStore(cfg.MaxSessions)
 		if cfg.StateDir != "" {
-			ss, err := diskstore.OpenSessions(filepath.Join(cfg.StateDir, "sessions"))
+			ss, err := diskstore.OpenDir(filepath.Join(cfg.StateDir, "sessions"), diskstore.SessionSuffix, s.reg)
 			if err != nil {
 				return nil, fmt.Errorf("server: %w", err)
 			}
 			s.sessStore = ss
-			// Reload persisted sessions (lexicographic ID order). A
-			// payload the store validated but the server cannot
-			// materialize is dropped and counted alongside the store's
-			// own skips.
-			skipped, _ := ss.LoadAll(func(id string, payload []byte) {
-				if !s.restoreSession(id, payload) {
-					_ = ss.Delete(id)
-					s.reg.Counter("session_snapshot_errors_total").Inc()
-				}
-			})
-			s.reg.Gauge("session_snapshots_skipped").Set(int64(skipped))
-			s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
+			s.restoreSessions()
 		}
 		s.mux.HandleFunc("POST /v1/graphs", s.handleGraphCreate)
 		s.mux.HandleFunc("GET /v1/graphs/{id}", s.handleGraphGet)
@@ -773,13 +762,21 @@ func (s *Server) hasResultLocal(key string) bool {
 	return ok
 }
 
-// storeResultLocal lands a repair-pulled result where an accepted peer
-// push lands one: in the result cache, without a floor verdict and
-// unchecked until a request uses it.
+// storeResultLocal lands a result that came from a peer (a PUT or a
+// repair pull) in the result cache. The receiver cannot tell its cost
+// from a wrong one until a request brings the graph, so it goes in
+// unchecked and without a floor verdict (usableResult, the ladder
+// memo). It replaces only an absent or unchecked entry: a checked one
+// already holds a verified result and the floor verdict a copy would
+// drop.
 func (s *Server) storeResultLocal(key string, v any) {
-	if s.results != nil {
-		s.results.Add(key, &resultEntry{res: v.(*hgp.Result)})
+	if s.results == nil {
+		return
 	}
+	if held, ok := s.results.Peek(key); ok && held.(*resultEntry).checked {
+		return
+	}
+	s.results.Add(key, &resultEntry{res: v.(*hgp.Result)})
 }
 
 // ReloadPeers atomically replaces the cluster membership (hgpd calls

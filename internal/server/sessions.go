@@ -201,8 +201,8 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// sessionSnap is the JSON payload persisted per session (framed and
-// committed by diskstore.SessionStore). It carries exactly what a
+// sessionSnap is the JSON payload of a session's record in the
+// sessions diskstore.Dir. It carries exactly what a
 // restart needs to resume PATCH/solve semantics: the graph, the
 // version, the solver parameters, and the last placement. The
 // decomposition and warm DP tables are rebuilt by the first
@@ -248,7 +248,7 @@ func (s *Server) saveSession(sess *session) {
 	}
 	payload, err := json.Marshal(snap)
 	if err == nil {
-		err = s.sessStore.Save(sess.id, payload)
+		err = s.sessStore.Put(sess.id, payload)
 	}
 	if err != nil {
 		s.reg.Counter("session_snapshot_errors_total").Inc()
@@ -263,24 +263,53 @@ func (s *Server) dropSession(sess *session, evicted bool) {
 		s.reg.Counter("session_evictions_total").Inc()
 	}
 	if s.sessStore != nil {
-		_ = s.sessStore.Delete(sess.id)
+		s.sessStore.Delete(sess.id)
 	}
 }
 
-// restoreSession rebuilds one session from its snapshot payload during
-// warm start. Invalid payloads are skipped (counted by the caller);
-// restored sessions are cold (needCold, reason "restart") but keep
-// their version and last placement, so the first post-restart solve
-// still reports migration churn against the pre-restart placement.
-func (s *Server) restoreSession(id string, payload []byte) bool {
+// restoreSessions reloads the persisted sessions at warm start. A
+// record whose payload the server cannot materialize gets the verdict
+// of any damaged record: skipped, counted and removed. Sessions enter
+// the LRU oldest first, so its recency order matches the records' and
+// an overflow evicts (and deletes) the oldest. Restored sessions are
+// cold (needCold, reason "restart") but keep their version and last
+// placement, so the first post-restart solve still reports migration
+// churn against the pre-restart placement.
+func (s *Server) restoreSessions() {
+	var restored []*session
+	// Each fails only when the directory cannot be listed; the daemon
+	// then starts with no sessions rather than not at all.
+	_ = s.sessStore.Each(0, func(id string, payload []byte) error {
+		sess, err := s.decodeSession(id, payload)
+		if err == nil {
+			restored = append(restored, sess)
+		}
+		return err
+	})
+	for i := len(restored) - 1; i >= 0; i-- {
+		for _, old := range s.sessions.put(restored[i]) {
+			s.dropSession(old, true)
+		}
+	}
+	s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
+}
+
+// decodeSession rebuilds one session from its snapshot payload.
+func (s *Server) decodeSession(id string, payload []byte) (*session, error) {
 	var snap sessionSnap
-	if err := json.Unmarshal(payload, &snap); err != nil || snap.ID != id || snap.Version < 1 {
-		return false
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return nil, err
+	}
+	if snap.ID != id || snap.Version < 1 {
+		return nil, fmt.Errorf("session %s: snapshot names %q at version %d", id, snap.ID, snap.Version)
 	}
 	inst := instio.Instance{Hierarchy: snap.Hierarchy, N: snap.N, Demands: snap.Demands, Edges: snap.Edges}
 	g, H, err := inst.Materialize()
-	if err != nil || g.N() == 0 {
-		return false
+	if err != nil {
+		return nil, err
+	}
+	if g.N() == 0 {
+		return nil, fmt.Errorf("session %s: empty graph", id)
 	}
 	sess := &session{
 		id: id, spec: snap.Hierarchy,
@@ -298,10 +327,7 @@ func (s *Server) restoreSession(id string, payload []byte) bool {
 	} else {
 		sess.lastSolveVersion = 0
 	}
-	for _, old := range s.sessions.put(sess) {
-		s.dropSession(old, true)
-	}
-	return true
+	return sess, nil
 }
 
 // GraphCreateRequest is the POST /v1/graphs body: the instance to

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -498,6 +501,79 @@ func TestSessionWarmRestart(t *testing.T) {
 	after := solveSession(t, h2, view.ID, nil)
 	if !after.Incremental {
 		t.Fatalf("second post-restart solve not incremental: %+v", after)
+	}
+}
+
+// A damaged session record gets the verdict of any damaged record under
+// -state-dir: on restart it is skipped, counted in
+// snapshot_corrupt_total and removed, and the other session is restored.
+func TestSessionRestartSkipsCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Config{StateDir: dir})
+	kept := createSession(t, s1.Handler(), sessionCreateRequest())
+	bad := createSession(t, s1.Handler(), sessionCreateRequest())
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "sessions", bad.ID+".sess")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	s2 := newTestServer(t, Config{StateDir: dir, Registry: reg})
+	t.Cleanup(func() { s2.Shutdown(context.Background()) })
+	if rec := doJSON(t, s2.Handler(), http.MethodGet, "/v1/graphs/"+kept.ID, nil); rec.Code != http.StatusOK {
+		t.Fatalf("intact session after restart: status %d", rec.Code)
+	}
+	if rec := doJSON(t, s2.Handler(), http.MethodGet, "/v1/graphs/"+bad.ID, nil); rec.Code != http.StatusNotFound {
+		t.Fatalf("damaged session after restart: status %d, want 404", rec.Code)
+	}
+	if got := reg.Counter("snapshot_corrupt_total").Value(); got != 1 {
+		t.Fatalf("snapshot_corrupt_total = %d, want 1", got)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the damaged session record is still on disk (stat err %v)", err)
+	}
+}
+
+// A session record written before sessions moved into diskstore.Dir
+// (internal/cache/diskstore/testdata/records) restores: same frame,
+// same JSON payload.
+func TestSessionRestoresRecordWrittenBeforeDir(t *testing.T) {
+	const id = "5d35fc4ec02f61c6"
+	raw, err := os.ReadFile(filepath.Join("..", "cache", "diskstore", "testdata", "records", id+".sess"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sessions"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sessions", id+".sess"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{StateDir: dir})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	rec := doJSON(t, s.Handler(), http.MethodGet, "/v1/graphs/"+id, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("restored session: status %d", rec.Code)
+	}
+	var view GraphSessionResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Version != 2 || view.N != 8 {
+		t.Fatalf("restored view %+v, want version 2 over 8 vertices", view)
+	}
+	resp := solveSession(t, s.Handler(), id, nil)
+	if resp.ColdReason != coldRestart || len(resp.Assignment) != 8 {
+		t.Fatalf("first solve after restore: %+v", resp)
 	}
 }
 
