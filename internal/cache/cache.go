@@ -288,15 +288,7 @@ func DecompKeyCanon(fingerprint string, opt treedecomp.Options) string {
 //     sentinels differ (+Inf for pruned trees), so cached results keep
 //     whichever sentinel pattern the first solve produced.
 func ResultKey(g *graph.Graph, H *hierarchy.Hierarchy, opt treedecomp.Options, eps float64, maxStates int) string {
-	k := newKeyHasher()
-	// Domain-separate from DecompKey so the two key spaces can never
-	// collide, then fold in the decomposition identity.
-	k.bytes([]byte("result\x00"))
-	k.bytes([]byte(DecompKey(g, opt)))
-	k.hierarchy(H)
-	k.float(eps)
-	k.int(int64(maxStates))
-	return k.sum()
+	return DeriveResultKey(DecompKey(g, opt), false, H, eps, maxStates)
 }
 
 // ResultKeyCanon is ResultKey's label-invariant counterpart: it extends
@@ -307,9 +299,24 @@ func ResultKey(g *graph.Graph, H *hierarchy.Hierarchy, opt treedecomp.Options, e
 // to submission labels is a pure relabelling that cannot change the
 // cost — see DESIGN.md §12.
 func ResultKeyCanon(fingerprint string, H *hierarchy.Hierarchy, opt treedecomp.Options, eps float64, maxStates int) string {
+	return DeriveResultKey(DecompKeyCanon(fingerprint, opt), true, H, eps, maxStates)
+}
+
+// DeriveResultKey extends a decomposition key into the full-result key:
+// decompKey is DecompKey's, or DecompKeyCanon's when canonical is true.
+// ResultKey and ResultKeyCanon are this over a freshly derived
+// decomposition key; a caller that already holds one (the serving path
+// keys both caches per request) derives the result key without hashing
+// the graph again. Each family has its own domain prefix, so result keys
+// never collide with decomposition keys or with each other's family.
+func DeriveResultKey(decompKey string, canonical bool, H *hierarchy.Hierarchy, eps float64, maxStates int) string {
 	k := newKeyHasher()
-	k.bytes([]byte("result-canon\x02"))
-	k.bytes([]byte(DecompKeyCanon(fingerprint, opt)))
+	if canonical {
+		k.bytes([]byte("result-canon\x02"))
+	} else {
+		k.bytes([]byte("result\x00"))
+	}
+	k.bytes([]byte(decompKey))
 	k.hierarchy(H)
 	k.float(eps)
 	k.int(int64(maxStates))

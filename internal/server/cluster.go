@@ -9,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
 	"hierpart/internal/faultinject"
-	"hierpart/internal/hgp"
 	"hierpart/internal/telemetry"
 )
 
@@ -270,9 +268,9 @@ func (c *cluster) countFetch(o fetchOutcome) {
 	c.reg.Counter(telemetry.Series("peer_fetch_total", "outcome", string(o))).Inc()
 }
 
-// fetchFrom walks key's replicas in rank order and fetches path from
+// fetch walks key's replicas in rank order and fetches its k entry from
 // the first routable one that answers with a validated entry, running
-// decode (the entry-layer parser) inside the client's outcome
+// k.decode (the entry-layer parser) inside the client's outcome
 // classification — one peer_fetch_total row and one breaker verdict
 // per peer attempted. Any non-hit outcome walks on to the next
 // replica: a definitive miss on one replica says nothing about the
@@ -281,7 +279,7 @@ func (c *cluster) countFetch(o fetchOutcome) {
 // return means "solve locally" — the caller never needs to distinguish
 // why. With R=1 the walk visits at most the single owner, the pre-
 // replication behavior.
-func (c *cluster) fetchFrom(ctx context.Context, key, path string, decode func([]byte) (any, error)) any {
+func (c *cluster) fetch(ctx context.Context, k *entryKind, key string) any {
 	for _, peer := range c.replicasOf(key) {
 		if peer == c.self {
 			continue
@@ -294,7 +292,7 @@ func (c *cluster) fetchFrom(ctx context.Context, key, path string, decode func([
 			c.countFetch(outcomePeerUnhealthy)
 			continue
 		}
-		val, outcome := pc.fetch(ctx, path, decode)
+		val, outcome := pc.fetch(ctx, peerPath(k.name, key), k.decode)
 		c.countFetch(outcome)
 		c.publishBreaker(peer, pc)
 		if outcome == outcomeHit {
@@ -304,70 +302,20 @@ func (c *cluster) fetchFrom(ctx context.Context, key, path string, decode func([
 	return nil
 }
 
-// fetchDecomp asks key's replicas for its decomposition entry. ok is
-// true only when a validated entry arrived; every other outcome (miss,
-// error, corruption — frame or entry layer — version skew, breaker,
-// unhealthy replicas) is a silent fallback to the local build.
-func (c *cluster) fetchDecomp(ctx context.Context, key string) (*cache.DecompEntry, bool) {
-	v := c.fetchFrom(ctx, key, peerPath(peerKindDecomp, key), decodeDecompPayload)
-	if v == nil {
-		return nil, false
-	}
-	return v.(*cache.DecompEntry), true
-}
-
-// fetchResult asks key's replicas for a full solve result. A partial
-// result is rejected at decode — pushers never send one (the result
-// cache holds only complete full-pipeline results), so its appearance
-// on the wire is corruption or hostility, and accepting it would let
-// the local result cache replay a degraded answer as a full one.
-func (c *cluster) fetchResult(ctx context.Context, key string) (*hgp.Result, bool) {
-	v := c.fetchFrom(ctx, key, peerPath(peerKindResult, key), decodeResultPayload)
-	if v == nil {
-		return nil, false
-	}
-	return v.(*hgp.Result), true
-}
-
-// peerKindDecomp and peerKindResult name the two entry kinds the
-// /v1/peer data surface carries; the kind is also what a hint records
-// so replay can reconstruct the path.
-const (
-	peerKindDecomp = "decomp"
-	peerKindResult = "result"
-)
-
 func peerPath(kind, key string) string { return "/v1/peer/" + kind + "/" + key }
 
-// decodeDecompPayload and decodeResultPayload are the entry-layer
-// parsers shared by the request-path fetches and the repair sweep.
-func decodeDecompPayload(payload []byte) (any, error) {
-	dec, perm, err := diskstore.DecodeDecompEntry(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &cache.DecompEntry{Dec: dec, Perm: perm}, nil
-}
-
-func decodeResultPayload(payload []byte) (any, error) {
-	res, err := diskstore.DecodeResult(payload)
-	if err != nil {
-		return nil, err
-	}
-	if res.Partial {
-		return nil, fmt.Errorf("partial result on the peer wire")
-	}
-	return res, nil
-}
-
-// pushTo PUTs a framed body to every remote replica of key in the
-// background. The peer_push_inflight gauge is incremented synchronously
-// — before this function returns — so a caller (or test) that polls
-// the gauge to zero after issuing requests has a race-free "all pushes
-// settled" barrier. A replica that is unroutable at routing time, or
+// push replicates an entry this daemon produced — a decomposition it
+// built, a result it solved — to every remote replica of key in the
+// background, so the work becomes the cluster-wide copy instead of
+// being redone wherever routing looks for it next. The
+// peer_push_inflight gauge is incremented synchronously — before this
+// function returns — so a caller (or test) that polls the gauge to
+// zero after issuing requests has a race-free "all pushes settled"
+// barrier. A replica that is unroutable at routing time, or
 // whose push fails after retries, gets the entry staged as a hint
 // instead — delivery is deferred, not abandoned.
-func (c *cluster) pushTo(kind, key string, payload []byte) {
+func (c *cluster) push(k *entryKind, key string, v any) {
+	kind, payload := k.name, k.encode(v)
 	body := diskstore.WrapWire(payload)
 	for _, peer := range c.replicasOf(key) {
 		if peer == c.self {
@@ -403,20 +351,6 @@ func (c *cluster) pushTo(kind, key string, payload []byte) {
 // every backoff sleep.
 func pushBudget(pc *peerClient) time.Duration {
 	return time.Duration(pc.retries+1) * (pc.timeout + pc.backoff*8)
-}
-
-// pushDecomp replicates a locally built decomposition entry to key's
-// remote replicas, so the build this daemon just paid for becomes the
-// cluster-wide copy instead of being rebuilt wherever routing looks
-// for it next.
-func (c *cluster) pushDecomp(key string, entry *cache.DecompEntry) {
-	c.pushTo(peerKindDecomp, key, diskstore.EncodeDecompEntry(entry.Dec, entry.Perm))
-}
-
-// pushResult replicates a full-quality solve result to key's remote
-// replicas.
-func (c *cluster) pushResult(key string, res *hgp.Result) {
-	c.pushTo(peerKindResult, key, diskstore.EncodeResult(res))
 }
 
 // stageHint queues an undeliverable push for hinted handoff (a no-op
@@ -526,24 +460,21 @@ func (c *cluster) repairSweep() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PeerTimeout)
-		view, err := pc.keys(ctx)
+		var view peerKeysView
+		err := pc.getJSON(ctx, "/v1/peer/keys", maxPeerKeysBody, &view)
 		cancel()
 		if err != nil {
 			c.reg.Counter("repair_pull_errors_total").Inc()
 			continue
 		}
-		pulled += c.repairPull(pc, peerKindDecomp, view.Decomp, repairMaxPulls-pulled)
-		pulled += c.repairPull(pc, peerKindResult, view.Result, repairMaxPulls-pulled)
+		pulled += c.repairPull(pc, decompKind, view.Decomp, repairMaxPulls-pulled)
+		pulled += c.repairPull(pc, resultKind, view.Result, repairMaxPulls-pulled)
 	}
 }
 
 // repairPull pulls up to budget missing entries of one kind from one
 // peer, returning how many landed.
-func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget int) int {
-	decode, have, store := decodeDecompPayload, c.srv.hasDecompLocal, c.srv.storeDecompLocal
-	if kind == peerKindResult {
-		decode, have, store = decodeResultPayload, c.srv.hasResultLocal, c.srv.storeResultLocal
-	}
+func (c *cluster) repairPull(pc *peerClient, k *entryKind, keys []string, budget int) int {
 	pulled := 0
 	for _, key := range keys {
 		if pulled >= budget {
@@ -559,7 +490,7 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 		if !validPeerKey(key) {
 			continue
 		}
-		if !c.owned(key) || have(key) {
+		if !c.owned(key) || k.has(c.srv, key) {
 			continue
 		}
 		if err := faultinject.Fire(nil, faultinject.RepairPull); err != nil {
@@ -567,7 +498,7 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), pushBudget(pc))
-		val, outcome := pc.fetch(ctx, peerPath(kind, key), decode)
+		val, outcome := pc.fetch(ctx, peerPath(k.name, key), k.decode)
 		cancel()
 		if outcome != outcomeHit {
 			c.reg.Counter("repair_pull_errors_total").Inc()
@@ -578,7 +509,7 @@ func (c *cluster) repairPull(pc *peerClient, kind string, keys []string, budget 
 			}
 			continue
 		}
-		store(key, val)
+		k.land(c.srv, key, val)
 		c.reg.Counter("repair_pulled_total").Inc()
 		pulled++
 	}
@@ -701,7 +632,8 @@ func (c *cluster) pollLoop() {
 			wg.Add(1)
 			go func(peer string, pc *peerClient) {
 				defer wg.Done()
-				hv, err := pc.health(ctx)
+				var hv peerHealthView
+				err := pc.getJSON(ctx, "/v1/peer/health", 1<<20, &hv)
 				c.setRoutable(peer, err == nil && hv.routable())
 				c.publishBreaker(peer, pc)
 			}(peer, pc)

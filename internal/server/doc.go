@@ -4,13 +4,29 @@
 // Feldmann-style hardness results say cannot be eliminated — only
 // deadline-bounded and load-shed.
 //
-// Request lifecycle of POST /v1/partition:
+// Request lifecycle of POST /v1/partition, one stage method each
+// (handlers.go):
 //
-//	decode+validate → admission (bounded queue, 429 on overflow)
-//	→ per-request deadline (context.Context, 504 on expiry)
-//	→ decomposition cache (internal/cache LRU; hit skips §4 entirely)
-//	→ per-tree signature DPs (§3, hgp.Solver.SolveDecomposition)
-//	→ respond (assignment, costs, per-tree diagnostics, phase timings)
+//	parse            decode (bounded, unknown fields refused), size limits,
+//	                 materialize, solver-parameter check (prepare)
+//	keys             canonicalize under -canon; the decomposition key once,
+//	                 the result key derived from it
+//	result sources   memory, then (cluster mode) the key's replicas, each
+//	                 entry through usableResult; a hit answers here
+//	breaker          open: floor-only service (no_degrade shed 503)
+//	admission        deadline clamp, then the deadline-ordered waiting
+//	                 room (429 queue_full, 504 expired while queued)
+//	solve            the anytime ladder, or the no_degrade path; the DP
+//	                 tier reads the decomposition cache (hit skips §4)
+//	store            complete DP results enter the result cache
+//	encode           assignment, costs, per-tree diagnostics, timings
+//
+// POST /v1/graphs/{id}/partition, the session solve, shares the body
+// decode, drain check, deadline clamp, admission and solve-error
+// mapping (request.go) and runs decomposition repair with warm DP
+// tables instead of the caches; POST /v1/graphs and the session
+// restore share the solver-parameter check (build; the restore skips
+// the size limits, which PATCH may grow a session past).
 //
 // Shutdown is graceful: Drain flips /v1/healthz to "draining" and
 // rejects new solves with 503 while Shutdown waits for every in-flight
@@ -20,7 +36,10 @@
 // (DESIGN.md §13): a rendezvous-hash ring gives every cache key one
 // owner, non-owners fetch the owner's copy over the internal
 // /v1/peer/* surface (snapshot wire framing, validated like snapshot
-// files) before building, and push their own builds owner-ward.
+// files) before building, and push their own builds owner-ward. Both
+// entry kinds, decompositions and results, share one peer path: a
+// table of kinds (handlers_peer.go) drives the GET and PUT handlers,
+// the request-path fetch, the replica push and the repair pull.
 // Retry/backoff, a per-peer circuit breaker, and health gossip bound
 // the cost of dead or draining peers; every fetch failure falls back
 // to the local solve path.

@@ -2,12 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 	"time"
 
 	"hierpart/internal/anytime"
@@ -22,17 +19,13 @@ import (
 )
 
 // PartitionRequest is the POST /v1/partition body: an instio.Instance
-// (graph + hierarchy + cost multipliers) plus solver parameters and an
-// optional per-request deadline. Zero-valued solver fields take the
-// hgp.Solver defaults (Eps 0.5, Trees 4, FMPasses 4).
+// (graph + hierarchy + cost multipliers) plus the solver parameters
+// (eps, trees, seed, fm_passes, flow_refine, max_states; zero values
+// take the hgp.Solver defaults: Eps 0.5, Trees 4, FMPasses 4) and an
+// optional per-request deadline.
 type PartitionRequest struct {
 	instio.Instance
-	Eps        float64 `json:"eps,omitempty"`
-	Trees      int     `json:"trees,omitempty"`
-	Seed       int64   `json:"seed,omitempty"`
-	FMPasses   int     `json:"fm_passes,omitempty"`
-	FlowRefine bool    `json:"flow_refine,omitempty"`
-	MaxStates  int     `json:"max_states,omitempty"`
+	solverParams
 	// TimeoutMS bounds this request's wall-clock budget; 0 uses the
 	// server default, values above the server maximum are clamped.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -133,354 +126,332 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST required")
 		return
 	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
-	start := time.Now()
+	j := &partitionJob{start: time.Now()}
 	s.reg.Counter("partition_requests_total").Inc()
-
-	// Decode and validate before consuming any queue capacity: malformed
-	// requests must not push well-formed ones into load shedding.
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req PartitionRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.parsePartition(w, r, j) {
 		return
 	}
-	if req.N > s.cfg.MaxVertices {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d vertices, server limit is %d", req.N, s.cfg.MaxVertices))
+	s.partitionKeys(j)
+	if s.resultSources(r.Context(), j) {
+		s.writePartitionOK(w, j.start, &solveOutcome{res: j.memo.res, resultHit: true}, j.peer, j.cn)
 		return
 	}
-	if len(req.Edges) > s.cfg.MaxEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d edges, server limit is %d", len(req.Edges), s.cfg.MaxEdges))
-		return
-	}
-	g, H, err := req.Instance.Materialize()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", err.Error())
-		return
-	}
-	if g.N() == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", "graph has no vertices")
-		return
-	}
-	if req.Eps < 0 || req.Trees < 0 || req.FMPasses < 0 || req.MaxStates < 0 || req.TimeoutMS < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
-		return
-	}
-
-	maxStates := req.MaxStates
-	if maxStates == 0 || maxStates > s.cfg.MaxStates {
-		maxStates = s.cfg.MaxStates
-	}
-	sv := hgp.Solver{
-		Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
-		FMPasses: req.FMPasses, FlowRefine: req.FlowRefine,
-		Workers: s.cfg.SolverWorkers, MaxStates: maxStates,
-		SequentialPortfolio: s.cfg.SerialPortfolio,
-	}
-
-	// Canonicalization: map the submission to its canonical vertex
-	// ordering so every cache below keys on the label-invariant
-	// fingerprint and the solver runs in canonical space. A refusal
-	// (large automorphism class, exhausted tie-break budget) falls back
-	// to the label-sensitive keys — a missed cross-user hit, never a
-	// wrong one.
-	var cn *canon.Form
-	gSolve := g
-	if s.cfg.Canon {
-		s.reg.Counter("canon_attempts_total").Inc()
-		if f, ok := canon.Canonicalize(g); ok {
-			s.reg.Counter("canon_ok_total").Inc()
-			cn = f
-			gSolve = f.Graph
-		} else {
-			s.reg.Counter("canon_fallback_total").Inc()
-		}
-	}
-
-	// Result-cache precheck, before any admission cost is paid. The cache
-	// holds complete full-pipeline DP results, each with the ladder's
-	// floor verdict once one is known. A no_degrade request, or a ladder
-	// request whose DP result is known to win, is served straight from
-	// memory — no breaker probe, no queue slot, no decomposition, no DP.
-	// Any other entry becomes the ladder's memo: the request goes on
-	// through admission, its full tier is answered from the entry, and
-	// only the floor rung runs. The key (cache.ResultKey, or
-	// cache.ResultKeyCanon once canonicalized) covers everything that
-	// shapes the returned placement; Workers is excluded because results
-	// are bit-identical at every worker count.
-	noDegrade := req.NoDegrade || s.cfg.DisableDegradation
-	var (
-		rkey          string
-		memo          *resultEntry
-		fetched, peer bool // memo came over the wire; this request fetched it
-	)
-	if s.results != nil {
-		if cn != nil {
-			rkey = cache.ResultKeyCanon(cn.Fingerprint, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
-		} else {
-			rkey = cache.ResultKey(g, H, sv.DecompOptions(), sv.Eps, sv.MaxStates)
-		}
-		if memo = s.lookupResult(rkey, gSolve, H); memo == nil {
-			s.reg.Counter("result_cache_misses_total").Inc()
-		}
-		// Cluster mode: the key's owner may have solved this exact
-		// request already. A certified peer result is inserted locally
-		// (repeat requests here find it in the cache) and used exactly
-		// like a local entry, so the body is bit-identical to one. Any
-		// failure — miss, dead owner, corrupt frame, failed check —
-		// falls through to a local solve. The fetch runs inside the
-		// singleflight group (keyed apart from the solve coalescing
-		// below) so a miss storm on one key costs the owner one network
-		// round trip, not N concurrent fetches each paying timeout ×
-		// retries against a slow peer.
-		if memo == nil && s.cluster != nil {
-			v, shared, ferr := s.rflight.Do(r.Context(), rkey+"|peerfetch", func() (any, error) {
-				return s.fetchResult(r.Context(), rkey, gSolve, H), nil
-			})
-			if e, _ := v.(*resultEntry); ferr == nil && e != nil {
-				// Coalesced waiters share the fetched result, but only
-				// the fetching request reports peer_fetch_hit —
-				// mirroring the decomposition path's attribution.
-				memo, fetched, peer = e, true, !shared
-			}
-		}
-		if memo != nil && (noDegrade || memo.verdict == verdictDPWon) {
-			if !fetched {
-				s.reg.Counter("result_cache_hits_total").Inc()
-			}
-			s.writePartitionOK(w, start, &solveOutcome{res: memo.res, resultHit: true}, peer, cn)
-			return
-		}
-	}
-
-	// Per-request deadline, also cancelled when the client disconnects:
-	// a dead client stops burning the worker budget (the context is
-	// threaded through treedecomp.BuildContext and the hgpt scheduler),
-	// and the limiter orders its waiting room by this deadline.
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel, timeout := s.deadline(r, j.req.TimeoutMS)
 	defer cancel()
 	ctx, pfm := withPeerFetchMark(ctx)
-
-	// The memory-pressure breaker decides the service mode before any
-	// solve capacity is spent: floor-only service while open, a single
-	// full-service probe when half-open.
-	mode := s.brk.admit()
-	s.publishBreakerGauges()
-	// A probe must settle on every exit path: if it is shed before the
-	// solve (queue full, deadline expired while queued, client cancel,
-	// injected fault) and probeDone never ran, the half-open slot would
-	// leak and the breaker could never close — floor-only service until
-	// restart. The deferred settlement reports failure unless the solve
-	// path already settled with its real outcome.
-	probeSettled := false
-	settleProbe := func(ok bool) {
-		if probeSettled {
-			return
-		}
-		probeSettled = true
-		s.brk.probeDone(ok)
-		s.publishBreakerGauges()
-	}
-	if mode == modeProbe {
-		defer settleProbe(false)
-	}
-	if mode == modeFloor && (req.NoDegrade || s.cfg.DisableDegradation) {
-		_, _, retry := s.brk.snapshot()
-		s.writeShed(w, http.StatusServiceUnavailable, "breaker_open", shedBreakerOpen,
-			"memory pressure: full-service requests are shed while the breaker is open", retry)
+	mode, settle, ok := s.breakerGate(w, j.noDegrade)
+	if !ok {
 		return
 	}
-
-	// Admission: the deadline-ordered waiting room, then a solve slot.
-	// The queue gauge counts requests past decode, waiting or running.
-	s.reg.Gauge("queue_depth").Set(s.queued.Add(1))
-	defer func() { s.reg.Gauge("queue_depth").Set(s.queued.Add(-1)) }()
-	if err := s.lim.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.reg.Counter("queue_rejections_total").Inc()
-			_, inUse, waiting := s.lim.snapshot()
-			s.writeShed(w, http.StatusTooManyRequests, "queue_full", shedQueueFull,
-				fmt.Sprintf("admission queue full (%d running + %d waiting)", inUse, waiting), time.Second)
-		case errors.Is(err, errShedExpired):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.reg.Counter("deadline_timeouts_total").Inc()
-			s.writeShed(w, http.StatusGatewayTimeout, "deadline_exceeded", shedDeadlineExpired,
-				fmt.Sprintf("deadline expired in the waiting room after %s; no solve slot was occupied",
-					time.Since(start).Round(time.Millisecond)), 0)
-		default:
-			s.finishTimeout(w, r, ctx, start, "while queued for a solve slot")
-		}
+	defer settle(false)
+	done, ok := s.admit(w, ctx, j.start, timeout)
+	if !ok {
 		return
 	}
-	slotStart := time.Now()
-	defer func() {
-		held := time.Since(slotStart)
-		s.lim.release()
-		s.lim.observe(held, timeout, ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded))
-		ceiling, _, _ := s.lim.snapshot()
-		s.reg.Gauge("limiter_ceiling").Set(int64(ceiling))
-	}()
-
+	defer done()
 	if err := faultinject.Fire(ctx, faultinject.ServerSolve); err != nil {
 		s.reg.Counter("partition_errors_total").Inc()
 		s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
 		return
 	}
-
-	runSolve := func() (*solveOutcome, error) {
-		oc := &solveOutcome{}
-		// full is the complete DP result this run produced or used, and
-		// verdict the floor verdict on it when the ladder settled one.
-		var full *hgp.Result
-		verdict := verdictNone
-		if noDegrade {
-			res, hit, dd, sd, serr := s.solve(ctx, gSolve, H, sv, cn)
-			if serr != nil {
-				return nil, serr
-			}
-			oc.res, oc.cacheHit, oc.decompDur, oc.solveDur = res, hit, dd, sd
-			full = res
-		} else {
-			ladderOpts := anytime.Options{Solver: sv}
-			if mode == modeFloor {
-				// Breaker open: run only the ladder's floor rung. The baseline
-				// tier allocates no DP tables, so serving it degrades quality
-				// instead of deepening the memory pressure that tripped us.
-				floor := anytime.TierBaseline
-				ladderOpts.Only = &floor
-				s.reg.Counter("breaker_floor_served_total").Inc()
-			}
-			// The ladder path: the full pipeline and the heuristic baseline
-			// run under the request's deadline; the best feasible placement
-			// wins. The full tier is answered from the memo when there is
-			// one, and otherwise runs through s.solve so it shares the
-			// decomposition cache and singleflight group. Its cache outcome
-			// and phase timings are the response's when it wins; a baseline
-			// win has neither phase. anytime.Solve collects every rung
-			// before returning, so reading them after it needs no lock.
-			var dp solveOutcome
-			ladderOpts.SolveDP = func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
-				if memo != nil {
-					dp.res, dp.tierHit = memo.res, true
-					return memo.res, nil
-				}
-				r, hit, d, sd, serr := s.solve(ctx, g, H, sv, cn)
-				dp.res, dp.cacheHit, dp.decompDur, dp.solveDur = r, hit, d, sd
-				return r, serr
-			}
-			out, serr := anytime.Solve(ctx, gSolve, H, ladderOpts)
-			if serr != nil {
-				return nil, serr
-			}
-			oc.res = out.Result
-			if dp.tierHit {
-				out.Reports[anytime.TierFullDP].Cached = true
-				oc.tierHit = true
-				s.reg.Counter("result_cache_tier_hits_total").Inc()
-			}
-			if out.Tier == anytime.TierFullDP {
-				oc.cacheHit, oc.decompDur, oc.solveDur = dp.cacheHit, dp.decompDur, dp.solveDur
-				// A memoized full tier that wins replays the cached
-				// placement verbatim.
-				oc.resultHit = dp.tierHit
-			}
-			oc.degResp = &DegradationResponse{
-				Tier:      out.Tier.String(),
-				Degraded:  out.Degraded,
-				Partial:   oc.res.Partial,
-				TreesDone: oc.res.TreesDone,
-				Tiers:     out.Reports[:],
-			}
-			if out.Degraded {
-				s.reg.Counter(fmt.Sprintf("degraded_total{tier=%q}", out.Tier.String())).Inc()
-			}
-			if st := out.Reports[anytime.TierFullDP].State; st == anytime.StateWon || st == anytime.StateCompleted {
-				full = dp.res
-			}
-			if out.Settled {
-				verdict = verdictFloorWon
-				if out.Tier == anytime.TierFullDP {
-					verdict = verdictDPWon
-				}
-			}
-		}
-		// Only complete full-pipeline DP results enter the result cache,
-		// won or lost: a partial one must not be replayed to callers who
-		// would have gotten the full answer, and a floor answer is cheap
-		// to recompute while the DP is not.
-		if s.results != nil && full != nil && !full.Partial {
-			s.storeResult(rkey, memo, full, verdict)
-		}
-		return oc, nil
-	}
-
-	var oc *solveOutcome
-	if s.results != nil && mode != modeFloor {
-		// Coalesce identical concurrent misses, keyed per degradation
-		// mode (a no-degrade caller must never be handed a ladder
-		// outcome, and vice versa). Every waiter holds its own admission
-		// slot; only the DP work is shared.
-		sfKey := rkey + "|ladder"
-		if noDegrade {
-			sfKey = rkey + "|nd"
-		}
-		var v any
-		var shared bool
-		v, shared, err = s.rflight.Do(ctx, sfKey, func() (any, error) { return runSolve() })
-		if err == nil {
-			oc = v.(*solveOutcome)
-			if shared {
-				s.reg.Counter("result_coalesced_total").Inc()
-			}
-		}
-	} else {
-		oc, err = runSolve()
-	}
-	if mode == modeProbe {
-		// Half-open probe: a successful full-service request (with the
-		// heap back under the ceiling) closes the breaker; anything else
-		// re-opens it and restarts the cooldown.
-		settleProbe(err == nil)
-	}
+	oc, err := s.solvePartition(ctx, j, mode)
+	// A half-open probe: a successful full-service request (with the heap
+	// back under the ceiling) closes the breaker; anything else re-opens
+	// it and restarts the cooldown.
+	settle(err == nil)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.finishTimeout(w, r, ctx, start, "during the solve")
-		case strings.Contains(err.Error(), "state budget exceeded"):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusUnprocessableEntity, "state_budget_exceeded", err.Error())
-		case strings.Contains(err.Error(), "panic"):
-			// The solver pools contain panics into errors (one bad tree
-			// degrades, all trees failing surfaces here); count them so
-			// an injected or real mid-DP panic is observable.
-			s.reg.Counter("panics_total").Inc()
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solver_panic", err.Error())
-		default:
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
-		}
+		s.writeSolveError(w, ctx, j.start, err, "during the solve")
 		return
 	}
+	s.writePartitionOK(w, j.start, oc, pfm.hit.Load() || (j.peer && oc.resultHit), j.cn)
+}
 
-	s.writePartitionOK(w, start, oc, pfm.hit.Load() || (peer && oc.resultHit), cn)
+// partitionJob carries one /v1/partition request through its stages:
+// parse, keys, result sources, breaker and admission, solve, store,
+// encode.
+type partitionJob struct {
+	start time.Time
+	req   PartitionRequest
+	// g is the submission; gSolve the graph the solver runs on — the
+	// canonical form when cn is non-nil, g otherwise.
+	g, gSolve *graph.Graph
+	H         *hierarchy.Hierarchy
+	sv        hgp.Solver
+	// cn is the canonical form when the submission canonicalized, and
+	// perm its permutation, recorded with a decomposition this request
+	// builds as provenance.
+	cn        *canon.Form
+	perm      []int
+	noDegrade bool
+	// dkey and rkey are the decomposition and result cache keys; each is
+	// empty when no cache needs it.
+	dkey, rkey string
+	// memo is the result-cache entry a result source produced; fetched
+	// marks one that came over the wire and peer one this request fetched
+	// itself (coalesced waiters share the entry but not the attribution).
+	memo          *resultEntry
+	fetched, peer bool
+}
+
+// parsePartition is the parse stage: decode, then the shared instance
+// and solver-parameter check. The response is written when it fails.
+func (s *Server) parsePartition(w http.ResponseWriter, r *http.Request, j *partitionJob) bool {
+	if !s.decodeBody(w, r, &j.req, false) {
+		return false
+	}
+	g, H, sv, rerr := s.prepare(&j.req.Instance, j.req.solverParams)
+	if rerr != nil {
+		s.writeError(w, rerr.status, rerr.code, rerr.msg)
+		return false
+	}
+	if j.req.TimeoutMS < 0 {
+		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
+		return false
+	}
+	j.g, j.gSolve, j.H, j.sv = g, g, H, sv
+	j.noDegrade = j.req.NoDegrade || s.cfg.DisableDegradation
+	return true
+}
+
+// partitionKeys is the keys stage. Under -canon the submission is first
+// mapped to its canonical vertex ordering, so both caches key on the
+// label-invariant fingerprint and the solver runs in canonical space; a
+// refusal (large automorphism class, exhausted tie-break budget) falls
+// back to the label-sensitive keys — a missed cross-user hit, never a
+// wrong one. The decomposition key is computed once and the result key
+// derived from it (cache.DeriveResultKey), so the graph is hashed once
+// per request. The result key covers everything that shapes the
+// returned placement; Workers is excluded because results are
+// bit-identical at every worker count.
+func (s *Server) partitionKeys(j *partitionJob) {
+	if s.cfg.Canon {
+		s.reg.Counter("canon_attempts_total").Inc()
+		if f, ok := canon.Canonicalize(j.g); ok {
+			s.reg.Counter("canon_ok_total").Inc()
+			j.cn, j.gSolve, j.perm = f, f.Graph, f.Perm
+		} else {
+			s.reg.Counter("canon_fallback_total").Inc()
+		}
+	}
+	if s.dec == nil && s.results == nil {
+		return
+	}
+	opts := j.sv.DecompOptions()
+	if j.cn != nil {
+		j.dkey = cache.DecompKeyCanon(j.cn.Fingerprint, opts)
+	} else {
+		j.dkey = cache.DecompKey(j.g, opts)
+	}
+	if s.results != nil {
+		j.rkey = cache.DeriveResultKey(j.dkey, j.cn != nil, j.H, j.sv.Eps, j.sv.MaxStates)
+	}
+}
+
+// resultSources is the result-cache stage, run before any admission
+// cost is paid. The sources are tried in order — local memory, then, in
+// cluster mode, the key's replicas — and each entry passes usableResult
+// before it is used. The cache holds complete full-pipeline DP results,
+// each with the ladder's floor verdict once one is known. A no_degrade
+// request, or a ladder request whose DP result is known to win, is
+// answered from the entry outright (true): no breaker probe, no queue
+// slot, no decomposition, no DP. Any other entry stays in j.memo and
+// becomes the ladder's memo: the request goes on through admission, its
+// full tier is answered from the entry, and only the floor rung runs.
+func (s *Server) resultSources(ctx context.Context, j *partitionJob) bool {
+	if s.results == nil {
+		return false
+	}
+	// The lookup counts as a hit or a miss in the cache's own accounting
+	// whether or not the entry passes usableResult.
+	if v, ok := s.results.Get(j.rkey); ok {
+		j.memo = s.usableResult(j.rkey, v.(*resultEntry), j.gSolve, j.H, "result_hit")
+	}
+	if j.memo == nil {
+		s.reg.Counter("result_cache_misses_total").Inc()
+	}
+	// A peer result that passes usableResult is inserted locally (repeat
+	// requests here find it in the cache) and used exactly like a local
+	// entry, so the body is bit-identical to one. Any failure — miss,
+	// dead owner, corrupt frame, failed check — falls through to a local
+	// solve. The fetch runs inside the singleflight group (keyed apart
+	// from the solve coalescing) so a miss storm on one key costs the
+	// owner one network round trip, not N concurrent fetches each paying
+	// timeout × retries against a slow peer.
+	if j.memo == nil && s.cluster != nil {
+		v, shared, err := s.rflight.Do(ctx, j.rkey+"|peerfetch", func() (any, error) {
+			v := s.cluster.fetch(ctx, resultKind, j.rkey)
+			if v == nil {
+				return nil, nil
+			}
+			e := s.usableResult(j.rkey, &resultEntry{res: v.(*hgp.Result)}, j.gSolve, j.H, "peer_fetch")
+			if e != nil {
+				s.results.Add(j.rkey, e)
+			}
+			return e, nil
+		})
+		if e, _ := v.(*resultEntry); err == nil && e != nil {
+			j.memo, j.fetched, j.peer = e, true, !shared
+		}
+	}
+	if j.memo == nil || !(j.noDegrade || j.memo.verdict == verdictDPWon) {
+		return false
+	}
+	if !j.fetched {
+		s.reg.Counter("result_cache_hits_total").Inc()
+	}
+	return true
+}
+
+// breakerGate is the breaker stage: the memory-pressure breaker picks
+// the service mode before any solve capacity is spent — floor-only
+// service while open, a single full-service probe when half-open. A
+// no_degrade request meets an open breaker with 503 breaker_open
+// (pass false). settle reports a probe's outcome once; the handler
+// defers settle(false) so a probe shed before its solve (queue full,
+// deadline expired while queued, client cancel, injected fault) still
+// settles — a leaked half-open slot would keep the breaker from ever
+// closing, floor-only service until restart.
+func (s *Server) breakerGate(w http.ResponseWriter, noDegrade bool) (mode admitMode, settle func(ok bool), pass bool) {
+	mode = s.brk.admit()
+	s.publishBreakerGauges()
+	settled := mode != modeProbe
+	settle = func(ok bool) {
+		if !settled {
+			settled = true
+			s.brk.probeDone(ok)
+			s.publishBreakerGauges()
+		}
+	}
+	if mode == modeFloor && noDegrade {
+		_, _, retry := s.brk.snapshot()
+		s.writeShed(w, http.StatusServiceUnavailable, "breaker_open", shedBreakerOpen,
+			"memory pressure: full-service requests are shed while the breaker is open", retry)
+		return mode, settle, false
+	}
+	return mode, settle, true
+}
+
+// solvePartition is the solve stage. With the result cache on and the
+// breaker not flooring, identical concurrent misses coalesce, keyed per
+// degradation mode (a no-degrade caller must never be handed a ladder
+// outcome, and vice versa). Every waiter holds its own admission slot;
+// only the DP work is shared.
+func (s *Server) solvePartition(ctx context.Context, j *partitionJob, mode admitMode) (*solveOutcome, error) {
+	if s.results == nil || mode == modeFloor {
+		return s.runSolve(ctx, j, mode)
+	}
+	sfKey := j.rkey + "|ladder"
+	if j.noDegrade {
+		sfKey = j.rkey + "|nd"
+	}
+	v, shared, err := s.rflight.Do(ctx, sfKey, func() (any, error) { return s.runSolve(ctx, j, mode) })
+	if err != nil {
+		return nil, err
+	}
+	if shared {
+		s.reg.Counter("result_coalesced_total").Inc()
+	}
+	return v.(*solveOutcome), nil
+}
+
+// runSolve runs the no_degrade path or the ladder, then the store stage:
+// only complete full-pipeline DP results enter the result cache, won or
+// lost — a partial one must not be replayed to callers who would have
+// gotten the full answer, and a floor answer is cheap to recompute while
+// the DP is not.
+func (s *Server) runSolve(ctx context.Context, j *partitionJob, mode admitMode) (*solveOutcome, error) {
+	var (
+		oc      *solveOutcome
+		full    *hgp.Result
+		verdict resultVerdict
+		err     error
+	)
+	if j.noDegrade {
+		oc = &solveOutcome{}
+		oc.res, oc.cacheHit, oc.decompDur, oc.solveDur, err = s.solve(ctx, j.gSolve, j.H, j.sv, j.dkey, j.perm)
+		full = oc.res
+	} else {
+		oc, full, verdict, err = s.solveLadder(ctx, j, mode)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if s.results != nil && full != nil && !full.Partial {
+		s.storeResult(j.rkey, j.memo, full, verdict)
+	}
+	return oc, nil
+}
+
+// solveLadder runs the anytime ladder: the full pipeline and the
+// heuristic baseline under the request's deadline, the best feasible
+// placement winning. With the breaker open only the floor rung runs:
+// the baseline tier allocates no DP tables, so serving it degrades
+// quality instead of deepening the memory pressure that tripped the
+// breaker. The full tier is answered from the memo when there is one,
+// and otherwise runs through s.solve so it shares the decomposition
+// cache and singleflight group. Its cache outcome and phase timings are
+// the response's when it wins; a baseline win has neither phase.
+// anytime.Solve collects every rung before returning, so reading them
+// after it needs no lock. full is the complete DP result the run
+// produced or used, and verdict the floor verdict on it when the ladder
+// settled one.
+func (s *Server) solveLadder(ctx context.Context, j *partitionJob, mode admitMode) (oc *solveOutcome, full *hgp.Result, verdict resultVerdict, err error) {
+	opts := anytime.Options{Solver: j.sv}
+	if mode == modeFloor {
+		floor := anytime.TierBaseline
+		opts.Only = &floor
+		s.reg.Counter("breaker_floor_served_total").Inc()
+	}
+	var dp solveOutcome
+	opts.SolveDP = func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver) (*hgp.Result, error) {
+		if j.memo != nil {
+			dp.res, dp.tierHit = j.memo.res, true
+			return j.memo.res, nil
+		}
+		var err error
+		dp.res, dp.cacheHit, dp.decompDur, dp.solveDur, err = s.solve(ctx, g, H, sv, j.dkey, j.perm)
+		return dp.res, err
+	}
+	out, err := anytime.Solve(ctx, j.gSolve, j.H, opts)
+	if err != nil {
+		return nil, nil, verdictNone, err
+	}
+	oc = &solveOutcome{res: out.Result}
+	if dp.tierHit {
+		out.Reports[anytime.TierFullDP].Cached = true
+		oc.tierHit = true
+		s.reg.Counter("result_cache_tier_hits_total").Inc()
+	}
+	if out.Tier == anytime.TierFullDP {
+		oc.cacheHit, oc.decompDur, oc.solveDur = dp.cacheHit, dp.decompDur, dp.solveDur
+		// A memoized full tier that wins replays the cached placement
+		// verbatim.
+		oc.resultHit = dp.tierHit
+	}
+	oc.degResp = &DegradationResponse{
+		Tier:      out.Tier.String(),
+		Degraded:  out.Degraded,
+		Partial:   oc.res.Partial,
+		TreesDone: oc.res.TreesDone,
+		Tiers:     out.Reports[:],
+	}
+	if out.Degraded {
+		s.reg.Counter(fmt.Sprintf("degraded_total{tier=%q}", out.Tier.String())).Inc()
+	}
+	if st := out.Reports[anytime.TierFullDP].State; st == anytime.StateWon || st == anytime.StateCompleted {
+		full = dp.res
+	}
+	if out.Settled {
+		verdict = verdictFloorWon
+		if out.Tier == anytime.TierFullDP {
+			verdict = verdictDPWon
+		}
+	}
+	return oc, full, verdict, nil
 }
 
 // fitsRequest checks a cached or fetched result against the request
@@ -578,23 +549,6 @@ func (s *Server) writePartitionOK(w http.ResponseWriter, start time.Time, oc *so
 		SolveMS:        float64(oc.solveDur.Microseconds()) / 1000,
 		Degradation:    oc.degResp,
 	})
-}
-
-// finishTimeout classifies a context failure: a tripped per-request
-// deadline is 504 (the daemon gave up inside its budget), a client that
-// went away gets a best-effort 499-style close (the response will not
-// be read anyway).
-func (s *Server) finishTimeout(w http.ResponseWriter, r *http.Request, ctx context.Context, start time.Time, where string) {
-	s.reg.Counter("partition_errors_total").Inc()
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.reg.Counter("deadline_timeouts_total").Inc()
-		s.writeError(w, http.StatusGatewayTimeout, "deadline_exceeded",
-			fmt.Sprintf("deadline expired %s after %s", where, time.Since(start).Round(time.Millisecond)))
-		return
-	}
-	// Client cancelled: nothing useful to send; record and close.
-	s.reg.Counter("client_cancelled_total").Inc()
-	s.writeError(w, 499, "client_closed_request", "client went away "+where)
 }
 
 // healthzResponse is the GET /v1/healthz body.

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"time"
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
+	"hierpart/internal/hgp"
 )
 
 // The /v1/peer surface is the cluster's internal wire: peers exchange
@@ -73,12 +73,7 @@ func validPeerKey(key string) bool {
 // It returns the validated key and whether the request may proceed
 // (the response has been written when not).
 func (s *Server) admitPeer(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if !s.authorizePeer(w, r) {
-		return "", false
-	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; peer traffic re-routes via health gossip", time.Second)
+	if !s.authorizePeer(w, r) || !s.enter(w, peerDrainingMsg) {
 		return "", false
 	}
 	key := r.PathValue("key")
@@ -90,132 +85,195 @@ func (s *Server) admitPeer(w http.ResponseWriter, r *http.Request) (string, bool
 	return key, true
 }
 
-func writeWireBody(w http.ResponseWriter, payload []byte) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(diskstore.WrapWire(payload))
+// entryKind is one kind of cache entry the /v1/peer surface carries.
+// Every peer step — the GET and PUT handlers, the request-path fetch,
+// the replica push and the anti-entropy pull — goes through this table,
+// so each step exists once for both kinds.
+type entryKind struct {
+	// name is the path segment (/v1/peer/{name}/{key}) and what a hint
+	// records so replay can rebuild the path.
+	name string
+	// decode parses a wire payload (frame already verified) into a value:
+	// structural validation, the same verdict as a damaged snapshot file.
+	decode func(payload []byte) (any, error)
+	// encode renders a value as its wire payload.
+	encode func(v any) []byte
+	// lookup finds this daemon's copy without touching recency order or
+	// hit/miss accounting, which describe its own request stream.
+	lookup func(s *Server, key string) (any, bool)
+	// has is the repair sweep's "already held?" predicate.
+	has func(s *Server, key string) bool
+	// land stores a value that came from a peer — a PUT, a request-path
+	// fetch (decompositions) or a repair pull — in this daemon's caches.
+	// A decomposition built here lands the same way; a result solved
+	// here goes through storeResult, which records it checked.
+	land func(s *Server, key string, v any)
 }
 
-// handlePeerDecompGet serves this daemon's copy of a decomposition
-// entry. The LRU is consulted with Peek — peer probes must not distort
-// the recency order or hit-ratio accounting that describe this
-// daemon's own request stream — and falls back to the snapshot store:
-// an entry evicted from memory but still on disk is a hit, which is
-// what lets a restarted owner serve its keys warm.
-func (s *Server) handlePeerDecompGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.admitPeer(w, r)
-	if !ok {
-		return
-	}
-	defer s.inflight.Done()
-	if v, ok := s.dec.Peek(key); ok {
-		entry := v.(*cache.DecompEntry)
-		writeWireBody(w, diskstore.EncodeDecompEntry(entry.Dec, entry.Perm))
-		return
-	}
-	if s.store != nil {
-		if dec, perm, ok := s.store.Load(key); ok {
-			writeWireBody(w, diskstore.EncodeDecompEntry(dec, perm))
+// decompKind: decomposition entries. Lookup falls back from the LRU to
+// the snapshot store — an entry evicted from memory but still on disk
+// is a hit, which is what lets a restarted owner serve its keys warm —
+// and land puts an entry in the LRU and stages it for the snapshot
+// store, so it survives this daemon's restart.
+var decompKind = &entryKind{
+	name: "decomp",
+	decode: func(payload []byte) (any, error) {
+		dec, perm, err := diskstore.DecodeDecompEntry(payload)
+		if err != nil {
+			return nil, err
+		}
+		return &cache.DecompEntry{Dec: dec, Perm: perm}, nil
+	},
+	encode: func(v any) []byte {
+		e := v.(*cache.DecompEntry)
+		return diskstore.EncodeDecompEntry(e.Dec, e.Perm)
+	},
+	lookup: func(s *Server, key string) (any, bool) {
+		if v, ok := s.dec.Peek(key); ok {
+			return v, true
+		}
+		if s.store != nil {
+			if dec, perm, ok := s.store.Load(key); ok {
+				return &cache.DecompEntry{Dec: dec, Perm: perm}, true
+			}
+		}
+		return nil, false
+	},
+	has: func(s *Server, key string) bool {
+		if _, ok := s.dec.Peek(key); ok {
+			return true
+		}
+		return s.store != nil && s.store.Has(key)
+	},
+	land: func(s *Server, key string, v any) {
+		e := v.(*cache.DecompEntry)
+		s.dec.Add(key, e)
+		if s.store != nil {
+			s.store.Enqueue(key, e.Dec, e.Perm)
+		}
+	},
+}
+
+// errPartialResult refuses a partial result at the trust boundary: the
+// result cache holds only complete full-pipeline results and pushers
+// never send anything else, so one on the wire is corruption or
+// hostility, and accepting it would let the result cache replay a
+// degraded answer as a full one.
+var errPartialResult = errors.New("partial results never enter the result cache; push refused")
+
+// resultKind: full solve results. Results are memory-only (no snapshot
+// store), so a restarted daemon 404s on them until it re-solves — the
+// decomposition kind carries the durable state. With the result cache
+// disabled, has reports "held" (repair never pulls what it could not
+// store) and land drops the value: a push is acknowledged, the pusher's
+// duty ends at delivery. land replaces only an absent or unchecked
+// entry: the receiver cannot tell a result's cost from a wrong one
+// until a request brings the graph, so it goes in unchecked and without
+// a floor verdict (usableResult, the ladder memo), and a checked entry
+// already holds a verified result and the floor verdict a copy would
+// drop.
+var resultKind = &entryKind{
+	name: "result",
+	decode: func(payload []byte) (any, error) {
+		res, err := diskstore.DecodeResult(payload)
+		if err != nil {
+			return nil, err
+		}
+		if res.Partial {
+			return nil, errPartialResult
+		}
+		return res, nil
+	},
+	encode: func(v any) []byte { return diskstore.EncodeResult(v.(*hgp.Result)) },
+	lookup: func(s *Server, key string) (any, bool) {
+		if s.results == nil {
+			return nil, false
+		}
+		v, ok := s.results.Peek(key)
+		if !ok {
+			return nil, false
+		}
+		return v.(*resultEntry).res, true
+	},
+	has: func(s *Server, key string) bool {
+		if s.results == nil {
+			return true
+		}
+		_, ok := s.results.Peek(key)
+		return ok
+	},
+	land: func(s *Server, key string, v any) {
+		if s.results == nil {
 			return
 		}
-	}
-	s.writeError(w, http.StatusNotFound, "not_found", "no entry under key")
+		if held, ok := s.results.Peek(key); ok && held.(*resultEntry).checked {
+			return
+		}
+		s.results.Add(key, &resultEntry{res: v.(*hgp.Result)})
+	},
 }
 
-// handlePeerDecompPut accepts an owner-ward push: a peer that built a
-// decomposition this daemon owns hands over the entry. The body runs
+var entryKinds = []*entryKind{decompKind, resultKind}
+
+// handlePeerGet serves this daemon's copy of a k entry, or 404.
+func (s *Server) handlePeerGet(k *entryKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key, ok := s.admitPeer(w, r)
+		if !ok {
+			return
+		}
+		defer s.inflight.Done()
+		if v, ok := k.lookup(s, key); ok {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(diskstore.WrapWire(k.encode(v)))
+			return
+		}
+		s.writeError(w, http.StatusNotFound, "not_found", "no entry under key")
+	}
+}
+
+// handlePeerPut accepts a replica-ward push of a k entry. The body runs
 // the full snapshot validation gauntlet — frame checksum and versions
-// (UnwrapWire), then structural entry validation (DecodeDecompEntry:
-// true permutation, parent ordering, demand conservation) — and a
-// failure at either layer rejects the push exactly as a damaged
-// snapshot file is skipped at startup. Accepted entries enter the LRU
-// and the snapshot store, so they survive this daemon's restart.
-func (s *Server) handlePeerDecompPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.admitPeer(w, r)
-	if !ok {
-		return
-	}
-	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_body", err.Error())
-		return
-	}
-	payload, err := diskstore.UnwrapWire(raw)
-	if err != nil {
-		s.rejectPeerBody(w, err)
-		return
-	}
-	dec, perm, err := diskstore.DecodeDecompEntry(payload)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "corrupt_entry", err.Error())
-		return
-	}
-	s.dec.Add(key, &cache.DecompEntry{Dec: dec, Perm: perm})
-	if s.store != nil {
-		s.store.Enqueue(key, dec, perm)
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handlePeerResultGet serves a full solve result from the result
-// cache. Results are memory-only (no snapshot store), so a restarted
-// daemon 404s here until it re-solves — the decomposition path above
-// carries the durable state.
-func (s *Server) handlePeerResultGet(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.admitPeer(w, r)
-	if !ok {
-		return
-	}
-	defer s.inflight.Done()
-	if s.results != nil {
-		if v, ok := s.results.Peek(key); ok {
-			writeWireBody(w, diskstore.EncodeResult(v.(*resultEntry).res))
+// (UnwrapWire), then the kind's structural decode — and a failure at
+// either layer rejects the push exactly as a damaged snapshot file is
+// skipped at startup. An accepted entry lands through k.land.
+func (s *Server) handlePeerPut(k *entryKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key, ok := s.admitPeer(w, r)
+		if !ok {
 			return
 		}
+		defer s.inflight.Done()
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "bad_body", err.Error())
+			return
+		}
+		payload, err := diskstore.UnwrapWire(raw)
+		if err != nil {
+			code := "corrupt_frame"
+			if errors.Is(err, diskstore.ErrVersionMismatch) {
+				// Version skew has its own code: the pusher can log
+				// "upgrade in progress" instead of "corruption".
+				code = "version_mismatch"
+			}
+			s.writeError(w, http.StatusBadRequest, code, err.Error())
+			return
+		}
+		v, err := k.decode(payload)
+		if err != nil {
+			code := "corrupt_entry"
+			if errors.Is(err, errPartialResult) {
+				code = "partial_result"
+			}
+			s.writeError(w, http.StatusBadRequest, code, err.Error())
+			return
+		}
+		k.land(s, key, v)
+		w.WriteHeader(http.StatusNoContent)
 	}
-	s.writeError(w, http.StatusNotFound, "not_found", "no result under key")
-}
-
-// handlePeerResultPut accepts an owner-ward result push, validated
-// like a decomposition push (frame, then structural decode). Partial
-// results are refused: the result cache holds only complete
-// full-pipeline results — pushers never send anything else, so the
-// receiver enforces the invariant at the trust boundary rather than
-// assuming it. An accepted push lands through storeResultLocal, which
-// keeps an entry this daemon already checked. With the result cache
-// disabled the push is acknowledged and dropped — the pusher's duty
-// ends at delivery.
-func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
-	key, ok := s.admitPeer(w, r)
-	if !ok {
-		return
-	}
-	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_body", err.Error())
-		return
-	}
-	payload, err := diskstore.UnwrapWire(raw)
-	if err != nil {
-		s.rejectPeerBody(w, err)
-		return
-	}
-	res, err := diskstore.DecodeResult(payload)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "corrupt_entry", err.Error())
-		return
-	}
-	if res.Partial {
-		s.writeError(w, http.StatusBadRequest, "partial_result",
-			"partial results never enter the result cache; push refused")
-		return
-	}
-	s.storeResultLocal(key, res)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handlePeerKeys serves this daemon's cache key inventory for the
@@ -225,27 +283,11 @@ func (s *Server) handlePeerResultPut(w http.ResponseWriter, r *http.Request) {
 // instead), and like the peer GETs it consults memory and disk without
 // touching recency order or hit/miss accounting.
 func (s *Server) handlePeerKeys(w http.ResponseWriter, r *http.Request) {
-	if !s.authorizePeer(w, r) {
-		return
-	}
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; peer traffic re-routes via health gossip", time.Second)
+	if !s.authorizePeer(w, r) || !s.enter(w, peerDrainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
 	writeJSON(w, http.StatusOK, s.localKeys())
-}
-
-// rejectPeerBody maps a frame validation failure to its rejection:
-// version skew is its own code (the pusher can log "upgrade in
-// progress" instead of "corruption"), everything else is corruption.
-func (s *Server) rejectPeerBody(w http.ResponseWriter, err error) {
-	if errors.Is(err, diskstore.ErrVersionMismatch) {
-		s.writeError(w, http.StatusBadRequest, "version_mismatch", err.Error())
-		return
-	}
-	s.writeError(w, http.StatusBadRequest, "corrupt_frame", err.Error())
 }
 
 // handlePeerHealth is the gossip endpoint: always 200 (once

@@ -185,11 +185,20 @@ func newPeerClient(base string, timeout time.Duration, retries int, backoff time
 	}
 }
 
-// authorize attaches the cluster shared secret, when one is configured.
-func (pc *peerClient) authorize(req *http.Request) {
+// send issues one request to the peer under ctx, with the cluster
+// shared secret attached when one is configured.
+func (pc *peerClient) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, pc.base+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
 	if pc.secret != "" {
 		req.Header.Set(peerSecretHeader, pc.secret)
 	}
+	return pc.hc.Do(req)
 }
 
 // sleepBackoff waits out the attempt'th backoff (base·2^attempt scaled
@@ -237,29 +246,48 @@ const maxPeerBody = 64 << 20
 // before validation, so injected corruption exercises the same
 // rejection path real bit rot would.
 func (pc *peerClient) fetch(ctx context.Context, path string, decode func([]byte) (any, error)) (any, fetchOutcome) {
-	if !pc.brk.allow() {
+	var (
+		val     any
+		outcome fetchOutcome
+	)
+	if _, refused := pc.retry(ctx, func() (ok, retryable bool) {
+		val, outcome, retryable = pc.fetchOnce(ctx, path, decode)
+		return outcome == outcomeHit || outcome == outcomeMiss, retryable
+	}); refused {
 		return nil, outcomeBreakerOpen
 	}
-	for attempt := 0; ; attempt++ {
-		val, outcome, retryable := pc.fetchOnce(ctx, path, decode)
-		switch outcome {
-		case outcomeHit, outcomeMiss:
+	return val, outcome
+}
+
+// retry runs attempt under the client's discipline, shared by fetches
+// and pushes: the breaker must admit it, a failure is retried with
+// jittered backoff while it is retryable and the budget lasts, and
+// every outcome is the breaker's verdict — a success (a fetch hit or
+// definitive miss: the peer answered) closes it. The breaker is
+// re-consulted between attempts: this failure may have opened it (e.g.
+// another goroutine's failures landed concurrently), and retrying
+// through an open breaker would defeat its fast-fail purpose. It
+// reports whether an attempt succeeded and whether the breaker refused
+// one.
+func (pc *peerClient) retry(ctx context.Context, attempt func() (ok, retryable bool)) (ok, refused bool) {
+	if !pc.brk.allow() {
+		return false, true
+	}
+	for i := 0; ; i++ {
+		ok, retryable := attempt()
+		if ok {
 			pc.brk.success()
-			return val, outcome
+			return true, false
 		}
 		pc.brk.failure()
-		if !retryable || attempt >= pc.retries {
-			return nil, outcome
+		if !retryable || i >= pc.retries {
+			return false, false
 		}
-		// Re-consult the breaker between attempts: this failure may
-		// have opened it (e.g. another goroutine's failures landed
-		// concurrently), and retrying through an open breaker would
-		// defeat its fast-fail purpose.
 		if !pc.brk.allow() {
-			return nil, outcomeBreakerOpen
+			return false, true
 		}
-		if err := pc.sleepBackoff(ctx, attempt); err != nil {
-			return nil, outcomeError
+		if pc.sleepBackoff(ctx, i) != nil {
+			return false, false
 		}
 	}
 }
@@ -268,12 +296,7 @@ func (pc *peerClient) fetch(ctx context.Context, path string, decode func([]byte
 func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]byte) (any, error)) (val any, outcome fetchOutcome, retryable bool) {
 	actx, cancel := context.WithTimeout(ctx, pc.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, pc.base+path, nil)
-	if err != nil {
-		return nil, outcomeError, false
-	}
-	pc.authorize(req)
-	resp, err := pc.hc.Do(req)
+	resp, err := pc.send(actx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, outcomeError, true
 	}
@@ -305,7 +328,7 @@ func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]
 	}
 	payload, err := diskstore.UnwrapWire(raw)
 	switch {
-	case isVersionMismatch(err):
+	case errors.Is(err, diskstore.ErrVersionMismatch):
 		return nil, outcomeVersionMismatch, false
 	case err != nil:
 		return nil, outcomeCorrupt, false
@@ -319,10 +342,6 @@ func (pc *peerClient) fetchOnce(ctx context.Context, path string, decode func([]
 	return val, outcomeHit, false
 }
 
-func isVersionMismatch(err error) bool {
-	return errors.Is(err, diskstore.ErrVersionMismatch)
-}
-
 // push PUTs a wire-framed body to path on the peer — the owner-ward
 // replication of an entry this daemon built for a key it does not own.
 // Pushes share the fetch path's timeout/retry/backoff discipline and
@@ -330,38 +349,14 @@ func isVersionMismatch(err error) bool {
 // pushes), but a failed push is only a lost warm-cache opportunity: the
 // owner rebuilds on its next request for the key.
 func (pc *peerClient) push(ctx context.Context, path string, body []byte) bool {
-	if !pc.brk.allow() {
-		return false
-	}
-	for attempt := 0; ; attempt++ {
-		ok, retryable := pc.pushOnce(ctx, path, body)
-		if ok {
-			pc.brk.success()
-			return true
-		}
-		pc.brk.failure()
-		if !retryable || attempt >= pc.retries {
-			return false
-		}
-		if !pc.brk.allow() {
-			return false
-		}
-		if err := pc.sleepBackoff(ctx, attempt); err != nil {
-			return false
-		}
-	}
+	ok, _ := pc.retry(ctx, func() (bool, bool) { return pc.pushOnce(ctx, path, body) })
+	return ok
 }
 
 func (pc *peerClient) pushOnce(ctx context.Context, path string, body []byte) (ok, retryable bool) {
 	actx, cancel := context.WithTimeout(ctx, pc.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPut, pc.base+path, bytes.NewReader(body))
-	if err != nil {
-		return false, false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	pc.authorize(req)
-	resp, err := pc.hc.Do(req)
+	resp, err := pc.send(actx, http.MethodPut, path, bytes.NewReader(body))
 	if err != nil {
 		return false, true
 	}
@@ -394,56 +389,21 @@ type peerKeysView struct {
 // JSON overhead put even a 100k-entry inventory well under this.
 const maxPeerKeysBody = 16 << 20
 
-// keys GETs the peer's key inventory with a single attempt — the
-// repair sweep runs on an interval, so a failed exchange just waits
-// for the next sweep.
-func (pc *peerClient) keys(ctx context.Context) (peerKeysView, error) {
+// getJSON GETs a JSON body (at most limit bytes) from the peer with a
+// single attempt — the repair sweep's key exchange and the health
+// poller run on intervals, so a failed exchange just waits for the
+// next one.
+func (pc *peerClient) getJSON(ctx context.Context, path string, limit int64, v any) error {
 	actx, cancel := context.WithTimeout(ctx, pc.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, pc.base+"/v1/peer/keys", nil)
+	resp, err := pc.send(actx, http.MethodGet, path, nil)
 	if err != nil {
-		return peerKeysView{}, err
-	}
-	pc.authorize(req)
-	resp, err := pc.hc.Do(req)
-	if err != nil {
-		return peerKeysView{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return peerKeysView{}, fmt.Errorf("peer keys: status %d", resp.StatusCode)
+		return fmt.Errorf("peer %s: status %d", path, resp.StatusCode)
 	}
-	var kv peerKeysView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPeerKeysBody)).Decode(&kv); err != nil {
-		return peerKeysView{}, err
-	}
-	return kv, nil
-}
-
-// health GETs the peer's /v1/peer/health with a single short attempt —
-// the poller runs on an interval, so retrying inside one poll would
-// only delay the next.
-func (pc *peerClient) health(ctx context.Context) (peerHealthView, error) {
-	actx, cancel := context.WithTimeout(ctx, pc.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, pc.base+"/v1/peer/health", nil)
-	if err != nil {
-		return peerHealthView{}, err
-	}
-	pc.authorize(req)
-	resp, err := pc.hc.Do(req)
-	if err != nil {
-		return peerHealthView{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return peerHealthView{}, fmt.Errorf("peer health: status %d", resp.StatusCode)
-	}
-	var hv peerHealthView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hv); err != nil {
-		return peerHealthView{}, err
-	}
-	return hv, nil
+	return json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(v)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"slices"
 
 	"hierpart/internal/graph"
@@ -39,32 +38,6 @@ type resultEntry struct {
 	// its assignment's: from the start for results solved here, after
 	// usableResult's recomputation for results that came from a peer.
 	checked bool
-}
-
-// lookupResult returns the result-cache entry under key when one is
-// there and passes usableResult, or nil. The lookup counts as a hit or
-// a miss in the cache's own accounting either way.
-func (s *Server) lookupResult(key string, g *graph.Graph, H *hierarchy.Hierarchy) *resultEntry {
-	v, ok := s.results.Get(key)
-	if !ok {
-		return nil
-	}
-	return s.usableResult(key, v.(*resultEntry), g, H, "result_hit")
-}
-
-// fetchResult asks key's replicas for the result, certifies it against
-// this request and caches it locally. It returns nil when no peer holds
-// a usable copy.
-func (s *Server) fetchResult(ctx context.Context, key string, g *graph.Graph, H *hierarchy.Hierarchy) *resultEntry {
-	res, ok := s.cluster.fetchResult(ctx, key)
-	if !ok {
-		return nil
-	}
-	e := s.usableResult(key, &resultEntry{res: res}, g, H, "peer_fetch")
-	if e != nil {
-		s.results.Add(key, e)
-	}
-	return e
 }
 
 // usableResult checks an entry against the request before it is used:
@@ -114,6 +87,6 @@ func (s *Server) storeResult(key string, memo *resultEntry, res *hgp.Result, v r
 		// cluster finds it where routing looks. The verdict stays here:
 		// a receiver runs the floor once before trusting a replayed
 		// answer to a ladder request.
-		s.cluster.pushResult(key, res)
+		s.cluster.push(resultKind, key, res)
 	}
 }

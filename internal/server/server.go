@@ -15,7 +15,6 @@ import (
 
 	"hierpart/internal/cache"
 	"hierpart/internal/cache/diskstore"
-	"hierpart/internal/canon"
 	"hierpart/internal/faultinject"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
@@ -321,11 +320,13 @@ type Server struct {
 }
 
 // solveFunc runs one partition solve. g is the graph to solve — the
-// request's canonical form when cn is non-nil, the submission as-is
-// otherwise; cn only selects the cache-key family (label-invariant vs
-// label-sensitive). It reports the result, whether the decomposition
+// request's canonical form under -canon, the submission as-is
+// otherwise — and key its decomposition cache key, computed once per
+// request (empty when caching is off). perm is the canonical
+// permutation a built decomposition records as provenance (nil without
+// canonicalization). It reports the result, whether the decomposition
 // came from the cache, and the decompose/solve phase durations.
-type solveFunc func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, s hgp.Solver, cn *canon.Form) (res *hgp.Result, cacheHit bool, decompose, solve time.Duration, err error)
+type solveFunc func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, s hgp.Solver, key string, perm []int) (res *hgp.Result, cacheHit bool, decompose, solve time.Duration, err error)
 
 // New builds a Server. Call Handler to obtain its http.Handler. The
 // error is non-nil only when Config.StateDir cannot be prepared (or is
@@ -393,10 +394,10 @@ func New(cfg Config) (*Server, error) {
 		// The internal peer surface exists only in cluster mode: a
 		// single-node daemon exposes no routes that replay cache
 		// internals.
-		s.mux.HandleFunc("GET /v1/peer/decomp/{key}", s.handlePeerDecompGet)
-		s.mux.HandleFunc("PUT /v1/peer/decomp/{key}", s.handlePeerDecompPut)
-		s.mux.HandleFunc("GET /v1/peer/result/{key}", s.handlePeerResultGet)
-		s.mux.HandleFunc("PUT /v1/peer/result/{key}", s.handlePeerResultPut)
+		for _, k := range entryKinds {
+			s.mux.HandleFunc("GET /v1/peer/"+k.name+"/{key}", s.handlePeerGet(k))
+			s.mux.HandleFunc("PUT /v1/peer/"+k.name+"/{key}", s.handlePeerPut(k))
+		}
 		s.mux.HandleFunc("GET /v1/peer/health", s.handlePeerHealth)
 		s.mux.HandleFunc("GET /v1/peer/keys", s.handlePeerKeys)
 		// The healing loops (hint drain, anti-entropy repair) read the
@@ -534,14 +535,13 @@ func (s *Server) isDraining() bool {
 }
 
 // cachedSolve is the production solve backend: look the decomposition
-// up in the LRU by canonical key, build (and insert) on a miss —
-// coalescing concurrent identical misses into one build via the
-// singleflight group — then run the per-tree DPs on it. With a
-// canonical form (cn non-nil) the LRU and snapshot store key on the
-// label-invariant fingerprint and g is the canonical graph, so
-// isomorphic submissions share one entry; the stored DecompEntry
-// carries the writing request's permutation as provenance.
-func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver, cn *canon.Form) (*hgp.Result, bool, time.Duration, time.Duration, error) {
+// up in the LRU by key, build (and insert) on a miss — coalescing
+// concurrent identical misses into one build via the singleflight
+// group — then run the per-tree DPs on it. Under -canon the key is the
+// label-invariant one and g the canonical graph, so isomorphic
+// submissions share one entry; the stored DecompEntry carries the
+// writing request's permutation as provenance.
+func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver, key string, perm []int) (*hgp.Result, bool, time.Duration, time.Duration, error) {
 	if err := faultinject.Fire(ctx, faultinject.CacheLookup); err != nil {
 		return nil, false, 0, 0, err
 	}
@@ -552,12 +552,6 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 		decompDur time.Duration
 	)
 	if s.dec != nil {
-		var key string
-		if cn != nil {
-			key = cache.DecompKeyCanon(cn.Fingerprint, opts)
-		} else {
-			key = cache.DecompKey(g, opts)
-		}
 		if v, ok := s.dec.Get(key); ok {
 			dec = v.(*cache.DecompEntry).Dec
 			cacheHit = true
@@ -573,19 +567,15 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 				// trip, exactly as it coalesces into one build. Any
 				// fetch outcome other than a validated hit falls
 				// through to the local build — the cluster
-				// accelerates, never gates.
+				// accelerates, never gates. A fetched entry lands like
+				// a peer push: in the LRU and, persisted, in the
+				// snapshot store, so a restart of THIS daemon
+				// warm-starts with it.
 				if s.cluster != nil {
-					if entry, ok := s.cluster.fetchDecomp(ctx, key); ok {
-						s.dec.Add(key, entry)
-						if s.store != nil {
-							// Persist the fetched entry locally too: a
-							// restart of THIS daemon warm-starts with
-							// it, and if the owner later dies this
-							// daemon serves its keys from disk.
-							s.store.Enqueue(key, entry.Dec, entry.Perm)
-						}
+					if v := s.cluster.fetch(ctx, decompKind, key); v != nil {
+						decompKind.land(s, key, v)
 						markPeerFetch(ctx)
-						return entry.Dec, nil
+						return v.(*cache.DecompEntry).Dec, nil
 					}
 				}
 				built, err := treedecomp.BuildContext(ctx, g, opts)
@@ -593,17 +583,10 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 					return nil, err
 				}
 				s.reg.Counter("decomp_builds_total").Inc()
-				var perm []int
-				if cn != nil {
-					perm = cn.Perm
-				}
 				entry := &cache.DecompEntry{Dec: built, Perm: perm}
-				s.dec.Add(key, entry)
-				if s.store != nil {
-					// Stage for the background flusher: the expensive
-					// build outlives this process.
-					s.store.Enqueue(key, built, perm)
-				}
+				// The LRU, and the snapshot store's flusher: the
+				// expensive build outlives this process.
+				decompKind.land(s, key, entry)
 				if s.cluster != nil {
 					// Replicate the freshly built entry to the key's
 					// remote replica set in the background (the fan-out
@@ -614,7 +597,7 @@ func (s *Server) cachedSolve(ctx context.Context, g *graph.Graph, H *hierarchy.H
 					// cluster-wide" would not hold; a replica that is
 					// down right now gets its copy via hinted handoff
 					// instead.
-					s.cluster.pushDecomp(key, entry)
+					s.cluster.push(decompKind, key, entry)
 				}
 				return built, nil
 			})
@@ -727,56 +710,6 @@ func (s *Server) localKeys() peerKeysView {
 		view.Result = append(view.Result, s.results.Keys()...)
 	}
 	return view
-}
-
-// hasDecompLocal reports whether this daemon already holds key's
-// decomposition in memory or on disk — the repair sweep's "missing?"
-// predicate.
-func (s *Server) hasDecompLocal(key string) bool {
-	if s.dec != nil {
-		if _, ok := s.dec.Peek(key); ok {
-			return true
-		}
-	}
-	return s.store != nil && s.store.Has(key)
-}
-
-// storeDecompLocal lands a repair-pulled decomposition entry exactly
-// where an accepted peer push lands one: the LRU and the snapshot
-// store.
-func (s *Server) storeDecompLocal(key string, v any) {
-	entry := v.(*cache.DecompEntry)
-	s.dec.Add(key, entry)
-	if s.store != nil {
-		s.store.Enqueue(key, entry.Dec, entry.Perm)
-	}
-}
-
-func (s *Server) hasResultLocal(key string) bool {
-	if s.results == nil {
-		// No result cache: report "have" so repair never pulls what it
-		// could not store.
-		return true
-	}
-	_, ok := s.results.Peek(key)
-	return ok
-}
-
-// storeResultLocal lands a result that came from a peer (a PUT or a
-// repair pull) in the result cache. The receiver cannot tell its cost
-// from a wrong one until a request brings the graph, so it goes in
-// unchecked and without a floor verdict (usableResult, the ladder
-// memo). It replaces only an absent or unchecked entry: a checked one
-// already holds a verified result and the floor verdict a copy would
-// drop.
-func (s *Server) storeResultLocal(key string, v any) {
-	if s.results == nil {
-		return
-	}
-	if held, ok := s.results.Peek(key); ok && held.(*resultEntry).checked {
-		return
-	}
-	s.results.Add(key, &resultEntry{res: v.(*hgp.Result)})
 }
 
 // ReloadPeers atomically replaces the cluster membership (hgpd calls

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"hierpart/internal/canon"
 	"hierpart/internal/graph"
 	"hierpart/internal/hgp"
 	"hierpart/internal/hierarchy"
@@ -202,7 +201,7 @@ func TestPartitionMalformed(t *testing.T) {
 // blockingSolve stubs the solver backend with one that parks until
 // release closes (or the context dies), so tests control solve timing.
 func blockingSolve(started chan<- struct{}, release <-chan struct{}) solveFunc {
-	return func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver, cn *canon.Form) (*hgp.Result, bool, time.Duration, time.Duration, error) {
+	return func(ctx context.Context, g *graph.Graph, H *hierarchy.Hierarchy, sv hgp.Solver, key string, perm []int) (*hgp.Result, bool, time.Duration, time.Duration, error) {
 		if started != nil {
 			started <- struct{}{}
 		}

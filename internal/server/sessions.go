@@ -6,12 +6,9 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +82,9 @@ type session struct {
 	// tables timing-dependent, which would break warm-table soundness.
 	spec instio.HierarchySpec
 	sv   hgp.Solver
+	// maxStates is the state budget the snapshot records; sv.MaxStates
+	// is it clamped to the running daemon's -max-states.
+	maxStates int
 
 	version int64 // bumped by every accepted PATCH; starts at 1
 	g       *graph.Graph
@@ -232,11 +232,10 @@ func (s *Server) saveSession(sess *session) {
 		return
 	}
 	snap := sessionSnap{
-		ID: sess.id, Version: sess.version, Hierarchy: sess.spec,
-		N:   sess.g.N(),
+		ID: sess.id, Version: sess.version, Hierarchy: sess.spec, N: sess.g.N(),
 		Eps: sess.sv.Eps, Trees: sess.sv.Trees, Seed: sess.sv.Seed,
 		FMPasses: sess.sv.FMPasses, FlowRefine: sess.sv.FlowRefine,
-		MaxStates:        sess.sv.MaxStates,
+		MaxStates:        sess.maxStates,
 		LastAssign:       sess.lastAssign,
 		LastSolveVersion: sess.lastSolveVersion,
 	}
@@ -294,30 +293,30 @@ func (s *Server) restoreSessions() {
 	s.reg.Gauge("sessions_active").Set(int64(s.sessions.len()))
 }
 
-// decodeSession rebuilds one session from its snapshot payload.
+// decodeSession rebuilds one session from its snapshot payload. The
+// instance and solver parameters pass a registration's checks (build)
+// except the size limits, so a restored session runs under this
+// daemon's -max-states cap whatever the snapshot recorded, and keeps
+// the budget it recorded for its next snapshot. A snapshot records a
+// demand per vertex, which bounds n by the payload.
 func (s *Server) decodeSession(id string, payload []byte) (*session, error) {
 	var snap sessionSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return nil, err
 	}
-	if snap.ID != id || snap.Version < 1 {
-		return nil, fmt.Errorf("session %s: snapshot names %q at version %d", id, snap.ID, snap.Version)
+	if snap.ID != id || snap.Version < 1 || len(snap.Demands) != snap.N {
+		return nil, fmt.Errorf("session %s: snapshot of %q at version %d has %d demands for n=%d", id, snap.ID, snap.Version, len(snap.Demands), snap.N)
 	}
 	inst := instio.Instance{Hierarchy: snap.Hierarchy, N: snap.N, Demands: snap.Demands, Edges: snap.Edges}
-	g, H, err := inst.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	if g.N() == 0 {
-		return nil, fmt.Errorf("session %s: empty graph", id)
+	g, H, sv, rerr := s.build(&inst, solverParams{
+		Eps: snap.Eps, Trees: snap.Trees, Seed: snap.Seed,
+		FMPasses: snap.FMPasses, FlowRefine: snap.FlowRefine, MaxStates: snap.MaxStates,
+	})
+	if rerr != nil {
+		return nil, fmt.Errorf("session %s: %w", id, rerr)
 	}
 	sess := &session{
-		id: id, spec: snap.Hierarchy,
-		sv: hgp.Solver{
-			Eps: snap.Eps, Trees: snap.Trees, Seed: snap.Seed,
-			FMPasses: snap.FMPasses, FlowRefine: snap.FlowRefine,
-			Workers: s.cfg.SolverWorkers, MaxStates: snap.MaxStates,
-		},
+		id: id, spec: snap.Hierarchy, sv: sv, maxStates: snap.MaxStates,
 		version: snap.Version, g: g, H: H,
 		needCold: true, coldReason: coldRestart,
 		lastSolveVersion: snap.LastSolveVersion,
@@ -336,12 +335,7 @@ func (s *Server) decodeSession(id string, payload []byte) (*session, error) {
 // across solves).
 type GraphCreateRequest struct {
 	instio.Instance
-	Eps        float64 `json:"eps,omitempty"`
-	Trees      int     `json:"trees,omitempty"`
-	Seed       int64   `json:"seed,omitempty"`
-	FMPasses   int     `json:"fm_passes,omitempty"`
-	FlowRefine bool    `json:"flow_refine,omitempty"`
-	MaxStates  int     `json:"max_states,omitempty"`
+	solverParams
 }
 
 // GraphSessionResponse describes a session: returned by registration
@@ -373,56 +367,20 @@ func sessionView(sess *session) GraphSessionResponse {
 }
 
 func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req GraphCreateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
-	if req.N > s.cfg.MaxVertices {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d vertices, server limit is %d", req.N, s.cfg.MaxVertices))
+	g, H, sv, rerr := s.prepare(&req.Instance, req.solverParams)
+	if rerr != nil {
+		s.writeError(w, rerr.status, rerr.code, rerr.msg)
 		return
 	}
-	if len(req.Edges) > s.cfg.MaxEdges {
-		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("graph has %d edges, server limit is %d", len(req.Edges), s.cfg.MaxEdges))
-		return
-	}
-	g, H, err := req.Instance.Materialize()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", err.Error())
-		return
-	}
-	if g.N() == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_instance", "graph has no vertices")
-		return
-	}
-	if req.Eps < 0 || req.Trees < 0 || req.FMPasses < 0 || req.MaxStates < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "negative solver parameter")
-		return
-	}
-	maxStates := req.MaxStates
-	if maxStates == 0 || maxStates > s.cfg.MaxStates {
-		maxStates = s.cfg.MaxStates
-	}
-	sess := &session{
-		id: newSessionID(), spec: req.Hierarchy,
-		sv: hgp.Solver{
-			Eps: req.Eps, Trees: req.Trees, Seed: req.Seed,
-			FMPasses: req.FMPasses, FlowRefine: req.FlowRefine,
-			Workers: s.cfg.SolverWorkers, MaxStates: maxStates,
-		},
-		version: 1, g: g, H: H,
-	}
+	sess := &session{id: newSessionID(), spec: req.Hierarchy, sv: sv, maxStates: sv.MaxStates, version: 1, g: g, H: H}
 	for _, old := range s.sessions.put(sess) {
 		s.dropSession(old, true)
 	}
@@ -517,18 +475,12 @@ func expandDelta(g *graph.Graph, d GraphDelta) ([]treedecomp.Delta, bool, error)
 }
 
 func (s *Server) handleGraphPatch(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req GraphPatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	if len(req.Deltas) == 0 {
@@ -653,9 +605,7 @@ type GraphPartitionResponse struct {
 }
 
 func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
-	if !s.admitInflight() {
-		s.writeShed(w, http.StatusServiceUnavailable, "draining", shedDraining,
-			"daemon is draining; retry against another instance", time.Second)
+	if !s.enter(w, drainingMsg) {
 		return
 	}
 	defer s.inflight.Done()
@@ -666,56 +616,22 @@ func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req GraphPartitionRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
+	if !s.decodeBody(w, r, &req, true) {
 		return
 	}
 	if req.TimeoutMS < 0 || req.MaxMigration < 0 || req.MigrationWeight < 0 {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "negative parameter")
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel, timeout := s.deadline(r, req.TimeoutMS)
 	defer cancel()
-
-	// Same admission as /v1/partition: the deadline-ordered waiting
-	// room, then a solve slot. Session solves share the daemon's solve
-	// capacity with one-shot solves.
-	s.reg.Gauge("queue_depth").Set(s.queued.Add(1))
-	defer func() { s.reg.Gauge("queue_depth").Set(s.queued.Add(-1)) }()
-	if err := s.lim.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.reg.Counter("queue_rejections_total").Inc()
-			_, inUse, waiting := s.lim.snapshot()
-			s.writeShed(w, http.StatusTooManyRequests, "queue_full", shedQueueFull,
-				fmt.Sprintf("admission queue full (%d running + %d waiting)", inUse, waiting), time.Second)
-		case errors.Is(err, errShedExpired):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.reg.Counter("deadline_timeouts_total").Inc()
-			s.writeShed(w, http.StatusGatewayTimeout, "deadline_exceeded", shedDeadlineExpired,
-				fmt.Sprintf("deadline expired in the waiting room after %s; no solve slot was occupied",
-					time.Since(start).Round(time.Millisecond)), 0)
-		default:
-			s.finishTimeout(w, r, ctx, start, "while queued for a solve slot")
-		}
+	// Session solves share the daemon's solve capacity with one-shot
+	// solves, through the same admission.
+	done, ok := s.admit(w, ctx, start, timeout)
+	if !ok {
 		return
 	}
-	slotStart := time.Now()
-	defer func() {
-		held := time.Since(slotStart)
-		s.lim.release()
-		s.lim.observe(held, timeout, ctx.Err() != nil && errors.Is(ctx.Err(), context.DeadlineExceeded))
-	}()
+	defer done()
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -740,16 +656,7 @@ func (s *Server) handleGraphPartition(w http.ResponseWriter, r *http.Request) {
 
 	resp, err := s.sessionSolve(ctx, sess, req)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			s.finishTimeout(w, r, ctx, start, "during the session solve")
-		case strings.Contains(err.Error(), "state budget exceeded"):
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusUnprocessableEntity, "state_budget_exceeded", err.Error())
-		default:
-			s.reg.Counter("partition_errors_total").Inc()
-			s.writeError(w, http.StatusInternalServerError, "solve_failed", err.Error())
-		}
+		s.writeSolveError(w, ctx, start, err, "during the session solve")
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -779,6 +686,20 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 	}
 	var dec *treedecomp.Decomposition
 	var rstats *treedecomp.RepairStats
+	// The warm table caches live as long as the session; a cold rebuild
+	// keeps them — table lookups are content-hashed, so any subtree the
+	// rebuild happens to reproduce still hits. They are re-made only when
+	// the tree count changes.
+	useDecomposition := func(d *treedecomp.Decomposition) {
+		dec = d
+		if len(sess.caches) != len(d.Trees) {
+			sess.caches = make([]*hgpt.TableCache, len(d.Trees))
+			for i := range sess.caches {
+				sess.caches[i] = hgpt.NewTableCache()
+			}
+		}
+		sv.TreeCaches = sess.caches
+	}
 	repairStart := time.Now()
 	if incremental {
 		rep, st, err := treedecomp.Repair(ctx, sess.g, sess.dec, sess.pending, sv.DecompOptions(), sess.version)
@@ -793,7 +714,8 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 			incremental = false
 			coldReason = coldRepairFailed
 		} else {
-			dec, rstats = rep, st
+			useDecomposition(rep)
+			rstats = st
 			// Certified warm bounds: valid only for reweight-only delta
 			// batches (WarmBoundsAfterRepair returns nil otherwise), and
 			// only against the previous solve's costs over the same
@@ -806,20 +728,9 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 		if err != nil {
 			return nil, err
 		}
-		dec = built
+		useDecomposition(built)
 	}
 	repairDur := time.Since(repairStart)
-
-	// The warm table caches live as long as the session; a cold rebuild
-	// keeps them — table lookups are content-hashed, so any subtree the
-	// rebuild happens to reproduce still hits.
-	if len(sess.caches) != len(dec.Trees) {
-		sess.caches = make([]*hgpt.TableCache, len(dec.Trees))
-		for i := range sess.caches {
-			sess.caches[i] = hgpt.NewTableCache()
-		}
-	}
-	sv.TreeCaches = sess.caches
 
 	solveStart := time.Now()
 	res, err := sv.SolveDecomposition(ctx, sess.g, sess.H, dec)
@@ -833,14 +744,7 @@ func (s *Server) sessionSolve(ctx context.Context, sess *session, req GraphParti
 		if berr != nil {
 			return nil, berr
 		}
-		dec = built
-		if len(sess.caches) != len(dec.Trees) {
-			sess.caches = make([]*hgpt.TableCache, len(dec.Trees))
-			for i := range sess.caches {
-				sess.caches[i] = hgpt.NewTableCache()
-			}
-			sv.TreeCaches = sess.caches
-		}
+		useDecomposition(built)
 		res, err = sv.SolveDecomposition(ctx, sess.g, sess.H, dec)
 	}
 	if err != nil {

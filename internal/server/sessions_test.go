@@ -734,3 +734,107 @@ func TestSessionWarmBoundedSolve(t *testing.T) {
 		t.Fatalf("bound_fallbacks_total = %d, want 0", stats.BoundFallbacksTotal)
 	}
 }
+
+// A restored session runs under the restarted daemon's -max-states cap:
+// the restore goes through the same solver-parameter check as a
+// registration, so a daemon restarted with a lower cap does not run
+// restored sessions above it. The clamp is not written back: a snapshot
+// taken under the lower cap keeps the recorded budget, which a later
+// restart under the higher cap restores.
+func TestSessionRestoreObeysMaxStatesCap(t *testing.T) {
+	dir := t.TempDir()
+	restart := func(old *Server, maxStates int) *Server {
+		t.Helper()
+		if err := old.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{StateDir: dir, MaxStates: maxStates})
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		return s
+	}
+	budget := func(s *Server, id string) int {
+		t.Helper()
+		sess, ok := s.sessions.get(id)
+		if !ok {
+			t.Fatal("session lost across restart")
+		}
+		return sess.sv.MaxStates
+	}
+	s1 := newTestServer(t, Config{StateDir: dir, MaxStates: 1_000_000})
+	view := createSession(t, s1.Handler(), sessionCreateRequest())
+
+	s2 := restart(s1, 10_000)
+	if got := budget(s2, view.ID); got != 10_000 {
+		t.Fatalf("restored session's state budget = %d, want the restarted daemon's cap 10000", got)
+	}
+	patchSession(t, s2.Handler(), view.ID, 1, GraphDelta{Op: "reweight_vertex", U: 0, Weight: 1})
+
+	s3 := restart(s2, 1_000_000)
+	if got := budget(s3, view.ID); got != 1_000_000 {
+		t.Fatalf("state budget after a restart under the raised cap = %d, want the recorded 1000000", got)
+	}
+}
+
+// -max-vertices and -max-edges bound request bodies, not live sessions:
+// a session PATCH grew past them survives a restart under the same
+// flags, and is not taken for a damaged record.
+func TestSessionGrownPastSizeLimitsRestores(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{StateDir: dir, MaxVertices: 8, MaxEdges: 13}
+	s1 := newTestServer(t, cfg)
+	view := createSession(t, s1.Handler(), sessionCreateRequest())
+	grown := patchSession(t, s1.Handler(), view.ID, 1,
+		GraphDelta{Op: "add_vertex", Weight: 0.5}, GraphDelta{Op: "add_edge", U: 7, V: 8, Weight: 1})
+	if grown.N != 9 || grown.M != 14 {
+		t.Fatalf("patched view %+v, want 9 vertices and 14 edges", grown)
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Registry = telemetry.NewRegistry()
+	s2 := newTestServer(t, cfg)
+	t.Cleanup(func() { s2.Shutdown(context.Background()) })
+	rec := doJSON(t, s2.Handler(), http.MethodGet, "/v1/graphs/"+view.ID, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("grown session after restart: status %d, want 200", rec.Code)
+	}
+	var got GraphSessionResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != grown.Version || got.N != 9 || got.M != 14 {
+		t.Fatalf("restored view %+v, want %+v", got, grown)
+	}
+	if n := cfg.Registry.Counter("snapshot_corrupt_total").Value(); n != 0 {
+		t.Fatalf("snapshot_corrupt_total = %d, want 0", n)
+	}
+}
+
+// The session twin of TestPartitionSolverPanicIs500AndSurvivable: a
+// session solve whose every tree panics is 500 solver_panic and ticks
+// panics_total, and the session keeps serving afterwards.
+func TestSessionSolverPanicIs500AndSurvivable(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := newTestServer(t, Config{Registry: reg})
+	h := s.Handler()
+	view := createSession(t, h, sessionCreateRequest())
+
+	restore := faultinject.Activate(
+		faultinject.New(7).On(faultinject.HgptTable, faultinject.Fault{Prob: 1, PanicMsg: "mid-DP"}))
+	rec := doJSON(t, h, http.MethodPost, "/v1/graphs/"+view.ID+"/partition", nil)
+	restore()
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500 (body %s)", rec.Code, rec.Body.String())
+	}
+	var e apiError
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "solver_panic" {
+		t.Fatalf("error envelope = %s, want solver_panic", rec.Body.String())
+	}
+	if reg.Counter("panics_total").Value() == 0 {
+		t.Fatal("panic must be counted")
+	}
+	if resp := solveSession(t, h, view.ID, nil); len(resp.Assignment) != 8 {
+		t.Fatalf("post-panic solve: %+v", resp)
+	}
+}
